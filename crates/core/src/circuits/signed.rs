@@ -99,7 +99,8 @@ mod tests {
     #[test]
     fn signed_wrap_covers_every_baseline_generator() {
         let scheme = ReductionScheme::RippleRows;
-        let cases: Vec<(Netlist, Box<dyn Fn(i128, i128) -> sdlc_wideint::I256>)> = vec![
+        type Model = Box<dyn Fn(i128, i128) -> sdlc_wideint::I256>;
+        let cases: Vec<(Netlist, Model)> = vec![
             (
                 signed_multiplier(
                     &truncated_multiplier(&TruncatedMultiplier::new(6, 3).unwrap(), scheme),

@@ -7,31 +7,35 @@
 //! compiled engine.
 //!
 //! This module compiles the netlist into a [`TimedProgram`] — the timing
-//! twin of [`crate::CompiledNetlist`]: dense struct-of-arrays ops with
-//! per-op **fixed-point delays** and CSR fanout lists, plus per-net
+//! twin of [`crate::CompiledNetlist`]: dense ops with per-op
+//! **fixed-point delays** and CSR fanout lists, plus per-net
 //! **arrival-time metadata** (STA-style upper bounds computed from the
 //! same `sdlc-techlib` load model). Unlike the zero-delay program it does
 //! *not* fold buffers or constant-fed gates: every cell has its own delay,
 //! and folding would change which pulses get inertially filtered.
 //!
-//! [`GlitchSim`] then runs **64 independent stimulus streams** (lane `i`
-//! of every plane word is stream `i`) through one shared event wheel.
-//! Event *times* are lane-independent — delays are per-op constants, so
-//! two lanes whose activity travels the same path schedule events at the
-//! same `(time, op)` key — which is where the word-parallelism comes
-//! from: one wheel entry carries a 64-lane mask of scheduled values, one
-//! pop re-evaluates the op for all lanes at once, and the inertial
-//! cancellation rule (`fire only if the scheduled value still matches the
-//! gate's present evaluation and differs from its output`) becomes three
+//! [`GlitchSim`] runs **64 independent stimulus streams** (lane `i` of
+//! every plane word is stream `i`) as one **topological waveform pass**
+//! per applied word, after waveform-based timing simulation (Holst, Imhof
+//! & Wunderlich, TODAES 2015; GATSPI, DAC 2022). A net's transitions are
+//! a time-sorted list of `(tick, 64-lane mask)` entries; each op reached
+//! by a change merges its fan-in lists in `(tick, source slot)` order,
+//! re-evaluating word-wide after every entry, and emits its own list.
+//! Delays are per-op constants, so lanes whose activity travels the same
+//! path share entries, and the inertial cancellation rule is a few
 //! word-wide boolean ops.
 //!
-//! The emulation is **exact**: for identical per-lane stimulus streams,
-//! per-net transition counts (functional toggles *and* glitches), total
-//! transitions and settle times match [`crate::TimingSim`] lane for lane
-//! — the engines share the delay model ([`sdlc_techlib::Library::gate_delays_ps`]),
-//! the 1/1024 ps quantization, the input-processing order and the
-//! `(time, gate, value)` pop order. `tests/glitch_differential.rs` proves
-//! it on random gate DAGs and every generator family.
+//! The emulation is **exact**: per-net transition counts (functional
+//! toggles *and* glitches), total transitions and settle times match
+//! [`crate::TimingSim`] lane for lane. Both engines read
+//! [`sdlc_techlib::Library::gate_delays_ps`] with the same 1/1024 ps
+//! quantization. The scalar engine captures every input change before
+//! popping anything, then pops equal-time events in gate order, which is
+//! topological — so every fan-in change at a tick lands before an op's
+//! own event at that tick, which is what the `(tick, source slot)` merge
+//! sees (input slots precede op slots). `tests/glitch_differential.rs`
+//! checks it on random gate DAGs, tied and zero delays, and every
+//! generator family.
 
 use sdlc_netlist::{GateKind, NetId, Netlist};
 use sdlc_techlib::Library;
@@ -42,21 +46,54 @@ use crate::timing::to_fixed_ps;
 const SLOT_CONST0: u32 = 0;
 /// Slot holding the constant-1 plane.
 const SLOT_CONST1: u32 = 1;
+/// First primary-input slot: inputs take consecutive slots in
+/// declaration order, and op outputs follow them in program order.
+const SLOT_FIRST_INPUT: u32 = 2;
 
-/// Compact opcode of one timed op. `Buf` is a real op here — a buffer has
-/// a real delay and can filter pulses, so the timing engine must keep it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-enum TimedOp {
-    And,
-    Or,
-    Nand,
-    Nor,
-    Xor,
-    Xnor,
-    Not,
-    Buf,
-    Mux,
+/// One timed op. Buffers are real ops here — a buffer has a real delay
+/// and can filter pulses, so the timing engine must keep it.
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    kind: GateKind,
+    /// Distinct source slots, ascending (the merge tie-break order); only
+    /// the first `sources` are meaningful.
+    src: [u32; 3],
+    sources: u8,
+    /// Pin `k` reads `src[pin[k]]`; pins are `[a, b]` or `[sel, lo, hi]`,
+    /// unused pins repeat pin 0, and a net read on two pins is one source.
+    pin: [u8; 3],
+    /// Inertial delay in 1/1024 ps ticks.
+    delay: u64,
+}
+
+impl Op {
+    /// Word-wide evaluation over the op's current source planes.
+    #[inline]
+    fn eval(&self, planes: &[u64; 3]) -> u64 {
+        let a = planes[self.pin[0] as usize];
+        let b = planes[self.pin[1] as usize];
+        match self.kind {
+            GateKind::And2 => a & b,
+            GateKind::Or2 => a | b,
+            GateKind::Nand2 => !(a & b),
+            GateKind::Nor2 => !(a | b),
+            GateKind::Xor2 => a ^ b,
+            GateKind::Xnor2 => !(a ^ b),
+            GateKind::Not => !a,
+            GateKind::Buf => a,
+            // Pins are [sel, lo, hi]: sel ? hi : lo.
+            GateKind::Mux2 => (b & !a) | (planes[self.pin[2] as usize] & a),
+            GateKind::Input | GateKind::Const0 | GateKind::Const1 => {
+                unreachable!("ports are slots, not ops")
+            }
+        }
+    }
+
+    /// The op's source planes read from a slot table.
+    #[inline]
+    fn planes(&self, values: &[u64]) -> [u64; 3] {
+        self.src.map(|s| values[s as usize])
+    }
 }
 
 /// A [`Netlist`] flattened into a timed program: the compile-once side of
@@ -66,33 +103,26 @@ enum TimedOp {
 /// [`GlitchSim`].
 #[derive(Debug, Clone)]
 pub struct TimedProgram {
-    code: Vec<TimedOp>,
-    src0: Vec<u32>,
-    src1: Vec<u32>,
-    src2: Vec<u32>,
-    dst: Vec<u32>,
-    /// Inertial delay per op in 1/1024 ps ticks, from the shared
-    /// load-dependent delay model.
-    delay_ticks: Vec<u64>,
+    ops: Vec<Op>,
+    /// Slot of op 0's output; op `i` writes slot `first_op_slot + i`.
+    first_op_slot: u32,
     /// CSR fanout: ops reading slot `s` are
     /// `fanout_ops[fanout_start[s]..fanout_start[s + 1]]`, in program
-    /// order (the scalar engine's scheduling order).
+    /// order — so the last one is the slot's last consumer, after which
+    /// its transition list is dead.
     fanout_start: Vec<u32>,
     fanout_ops: Vec<u32>,
     /// Net index → value-slot index.
     slot_of_net: Vec<u32>,
-    /// Slot per primary input, in declaration order.
-    input_slots: Vec<u32>,
     /// STA-style worst-case arrival time per slot in 1/1024 ps ticks (0
-    /// for inputs and constants), computed in the same fixed-point domain
-    /// as the event queue — an *exact* upper bound on any event time the
-    /// simulator can ever schedule for that net (a plain f64 STA sum is
-    /// not: per-gate rounding makes tick sums drift past it on deep
-    /// paths).
+    /// for inputs and constants), computed in the simulator's own
+    /// fixed-point domain — an *exact* upper bound on any event time it
+    /// can produce for that net (a plain f64 STA sum is not: per-gate
+    /// rounding makes tick sums drift past it on deep paths).
     arrival_ticks: Vec<u64>,
-    /// Topological level per op (buffers count as a level here, unlike
+    /// Topological depth in ops (buffers count as a level here, unlike
     /// the folded zero-delay program).
-    level: Vec<u32>,
+    max_level: u32,
 }
 
 impl TimedProgram {
@@ -104,15 +134,12 @@ impl TimedProgram {
     #[must_use]
     pub fn compile(netlist: &Netlist, library: &Library) -> Self {
         let delays_ps = library.gate_delays_ps(netlist);
+        let first_op_slot = SLOT_FIRST_INPUT + netlist.inputs().len() as u32;
         let mut slot_of_net = vec![u32::MAX; netlist.net_count()];
-        let mut input_slots = Vec::with_capacity(netlist.inputs().len());
-        let mut arrival_ticks = vec![0u64, 0];
-        let mut slot_level = vec![0u32, 0];
-        let mut code = Vec::new();
-        let (mut src0, mut src1, mut src2) = (Vec::new(), Vec::new(), Vec::new());
-        let mut dst = Vec::new();
-        let mut delay_ticks = Vec::new();
-        let mut level = Vec::new();
+        let mut arrival_ticks = vec![0u64; first_op_slot as usize];
+        let mut slot_level = vec![0u32; first_op_slot as usize];
+        let mut next_input = SLOT_FIRST_INPUT;
+        let mut ops = Vec::new();
         let slot = |table: &[u32], net: NetId| -> u32 {
             let s = table[net.index()];
             assert!(s != u32::MAX, "net {net} read before it is driven");
@@ -122,64 +149,47 @@ impl TimedProgram {
             let out = gate.output.index();
             match gate.kind {
                 GateKind::Input => {
-                    let s = slot_level.len() as u32;
-                    slot_of_net[out] = s;
-                    input_slots.push(s);
-                    slot_level.push(0);
-                    arrival_ticks.push(0);
+                    slot_of_net[out] = next_input;
+                    next_input += 1;
                 }
                 GateKind::Const0 => slot_of_net[out] = SLOT_CONST0,
                 GateKind::Const1 => slot_of_net[out] = SLOT_CONST1,
                 kind => {
-                    let opcode = match kind {
-                        GateKind::And2 => TimedOp::And,
-                        GateKind::Or2 => TimedOp::Or,
-                        GateKind::Nand2 => TimedOp::Nand,
-                        GateKind::Nor2 => TimedOp::Nor,
-                        GateKind::Xor2 => TimedOp::Xor,
-                        GateKind::Xnor2 => TimedOp::Xnor,
-                        GateKind::Not => TimedOp::Not,
-                        GateKind::Buf => TimedOp::Buf,
-                        GateKind::Mux2 => TimedOp::Mux,
-                        _ => unreachable!("port kinds handled above"),
-                    };
-                    let a = slot(&slot_of_net, gate.inputs[0]);
-                    let b = if gate.inputs.len() > 1 {
-                        slot(&slot_of_net, gate.inputs[1])
-                    } else {
-                        a
-                    };
-                    let c = if gate.inputs.len() > 2 {
-                        slot(&slot_of_net, gate.inputs[2])
-                    } else {
-                        a
-                    };
-                    let d = slot_level.len() as u32;
-                    code.push(opcode);
-                    src0.push(a);
-                    src1.push(b);
-                    src2.push(c);
-                    dst.push(d);
-                    let ticks = to_fixed_ps(delay);
-                    delay_ticks.push(ticks);
-                    let input_arrival = arrival_ticks[a as usize]
-                        .max(arrival_ticks[b as usize])
-                        .max(arrival_ticks[c as usize]);
-                    arrival_ticks.push(input_arrival + ticks);
-                    let op_level = 1 + slot_level[a as usize]
-                        .max(slot_level[b as usize])
-                        .max(slot_level[c as usize]);
-                    level.push(op_level);
-                    slot_level.push(op_level);
-                    slot_of_net[out] = d;
+                    let mut pins = [slot(&slot_of_net, gate.inputs[0]); 3];
+                    for (pin, &net) in pins.iter_mut().zip(&gate.inputs).skip(1) {
+                        *pin = slot(&slot_of_net, net);
+                    }
+                    let mut src = pins;
+                    src.sort_unstable();
+                    let mut sources = 1;
+                    for k in 1..3 {
+                        if src[k] != src[sources - 1] {
+                            src[sources] = src[k];
+                            sources += 1;
+                        }
+                    }
+                    let pin = pins.map(|s| src[..sources].partition_point(|&d| d < s) as u8);
+                    let delay = to_fixed_ps(delay);
+                    let arrival = pins.iter().map(|&s| arrival_ticks[s as usize]).max();
+                    arrival_ticks.push(arrival.unwrap_or(0) + delay);
+                    let level = pins.iter().map(|&s| slot_level[s as usize]).max();
+                    slot_level.push(level.unwrap_or(0) + 1);
+                    slot_of_net[out] = first_op_slot + ops.len() as u32;
+                    ops.push(Op {
+                        kind,
+                        src,
+                        sources: sources as u8,
+                        pin,
+                        delay,
+                    });
                 }
             }
         }
         // CSR fanout per slot, ops in program order.
-        let slot_count = slot_level.len();
+        let slot_count = arrival_ticks.len();
         let mut fanout_start = vec![0u32; slot_count + 1];
-        for op in 0..code.len() {
-            for s in op_sources(&code, &src0, &src1, &src2, op) {
+        for op in &ops {
+            for &s in &op.src[..op.sources as usize] {
                 fanout_start[s as usize + 1] += 1;
             }
         }
@@ -188,32 +198,27 @@ impl TimedProgram {
         }
         let mut fanout_ops = vec![0u32; fanout_start[slot_count] as usize];
         let mut next = fanout_start.clone();
-        for op in 0..code.len() {
-            for s in op_sources(&code, &src0, &src1, &src2, op) {
-                fanout_ops[next[s as usize] as usize] = op as u32;
+        for (i, op) in ops.iter().enumerate() {
+            for &s in &op.src[..op.sources as usize] {
+                fanout_ops[next[s as usize] as usize] = i as u32;
                 next[s as usize] += 1;
             }
         }
         Self {
-            code,
-            src0,
-            src1,
-            src2,
-            dst,
-            delay_ticks,
+            ops,
+            first_op_slot,
             fanout_start,
             fanout_ops,
             slot_of_net,
-            input_slots,
             arrival_ticks,
-            level,
+            max_level: slot_level.into_iter().max().unwrap_or(0),
         }
     }
 
     /// Number of timed ops (every logic cell, buffers included).
     #[must_use]
     pub fn op_count(&self) -> usize {
-        self.code.len()
+        self.ops.len()
     }
 
     /// Number of value slots.
@@ -223,8 +228,8 @@ impl TimedProgram {
     }
 
     /// STA-style worst-case arrival time of a net, in ps, computed in the
-    /// event queue's own fixed-point domain — no event the simulator
-    /// schedules for this net can ever land later.
+    /// simulator's own fixed-point domain — no event the simulator
+    /// produces for this net can ever land later.
     ///
     /// # Panics
     ///
@@ -246,51 +251,17 @@ impl TimedProgram {
     /// Topological depth in timed ops (buffers included).
     #[must_use]
     pub fn max_level(&self) -> u32 {
-        self.level.iter().copied().max().unwrap_or(0)
+        self.max_level
+    }
+
+    fn input_count(&self) -> usize {
+        (self.first_op_slot - SLOT_FIRST_INPUT) as usize
     }
 
     fn fanout(&self, slot: u32) -> &[u32] {
         let lo = self.fanout_start[slot as usize] as usize;
         let hi = self.fanout_start[slot as usize + 1] as usize;
         &self.fanout_ops[lo..hi]
-    }
-}
-
-/// The per-op source iterator used for fanout construction (unary ops
-/// repeat their single source in `src1`/`src2`; only distinct pins count,
-/// and pin multiplicity must match the scalar engine's fanout lists).
-fn op_sources(
-    code: &[TimedOp],
-    src0: &[u32],
-    src1: &[u32],
-    src2: &[u32],
-    op: usize,
-) -> impl Iterator<Item = u32> {
-    let arity = match code[op] {
-        TimedOp::Not | TimedOp::Buf => 1,
-        TimedOp::Mux => 3,
-        _ => 2,
-    };
-    [src0[op], src1[op], src2[op]].into_iter().take(arity)
-}
-
-/// One word-wide timed-op evaluation over the current value planes —
-/// shared by [`GlitchSim::settle`]'s zero-delay pass and the event loop
-/// of [`GlitchSim::apply`], so the two can never drift apart.
-#[inline]
-fn eval_timed(p: &TimedProgram, values: &[u64], op: usize) -> u64 {
-    let a = values[p.src0[op] as usize];
-    match p.code[op] {
-        TimedOp::And => a & values[p.src1[op] as usize],
-        TimedOp::Or => a | values[p.src1[op] as usize],
-        TimedOp::Nand => !(a & values[p.src1[op] as usize]),
-        TimedOp::Nor => !(a | values[p.src1[op] as usize]),
-        TimedOp::Xor => a ^ values[p.src1[op] as usize],
-        TimedOp::Xnor => !(a ^ values[p.src1[op] as usize]),
-        TimedOp::Not => !a,
-        TimedOp::Buf => a,
-        // Sources are [sel, lo, hi]: sel ? hi : lo.
-        TimedOp::Mux => (values[p.src1[op] as usize] & !a) | (values[p.src2[op] as usize] & a),
     }
 }
 
@@ -306,95 +277,73 @@ pub struct GlitchApplyResult {
     pub settle_ps: f64,
 }
 
-/// Bits of a packed wheel key reserved for the op index (low bits, so
-/// keys order by time first, then op — the scalar heap's order).
-const KEY_OP_BITS: u32 = 24;
-
-/// One pending event of the wheel: the `(time, op)` key's 64-lane masks
-/// of events scheduled with value 0 / value 1.
+/// One entry of a net's transition list: the lanes that flip at `tick`.
 #[derive(Debug, Clone, Copy)]
-struct Pending {
-    time: u64,
-    low: u64,
-    high: u64,
+struct Edge {
+    tick: u64,
+    mask: u64,
 }
 
-/// 64-lane event-driven executor over a [`TimedProgram`] — the exact
+/// 64-lane glitch executor over a [`TimedProgram`] — the exact
 /// word-parallel twin of [`crate::TimingSim`].
 ///
 /// Lane `i` of every stimulus word is an independent vector stream; per
 /// lane, transition accounting (inertial pulse filtering included) is
 /// identical to running one scalar `TimingSim` on that stream.
 ///
-/// The event wheel is a **bucketed time ladder**: packed `(time, op)`
-/// keys land in buckets of ~one-gate-delay span (every bucket fits the
-/// program's whole arrival window, so the ladder is allocated once and
-/// reused), each bucket is sorted when the drain reaches it, and keys
-/// whose delay folds back into the bucket being drained (possible only
-/// for sub-span delays) trigger a tail re-sort — so keys always pop in
-/// the scalar engine's exact `(time, gate)` order, at sequential-scan
-/// cost instead of heap-sift cost. Per-op pending lists hold each key's
-/// lane masks and keep their capacity across `apply` calls; steady
-/// state allocates nothing.
+/// Each [`GlitchSim::apply`] is one pass, in program order, over the ops
+/// a changed input reaches: every such op turns its fan-in transition
+/// lists into its own, and the planes are committed at the end. Lists
+/// live in one arena, appended whole and so in ascending start order. A
+/// list dies once its slot's last consumer has read it, and when the
+/// arena has doubled past its live entries the live lists are copied
+/// forward — memory follows the live set, not the word's transition
+/// count. Buffers keep their capacity across calls; steady state
+/// allocates nothing.
 #[derive(Debug, Clone)]
 pub struct GlitchSim<'p> {
     program: &'p TimedProgram,
     values: Vec<u64>,
     toggles: Vec<u64>,
-    /// Time ladder: bucket `t >> bucket_shift` holds the packed
-    /// `(time << KEY_OP_BITS) | op` keys of its span, unsorted until
-    /// drained.
-    ladder: Vec<Vec<u64>>,
-    bucket_shift: u32,
-    /// Per-op pending events (drained to empty by every `apply`).
-    pending: Vec<Vec<Pending>>,
+    /// The transition-list arena of the current `apply`.
+    edges: Vec<Edge>,
+    /// Per slot: `edges` range of its list — non-empty exactly while the
+    /// list is live.
+    lists: Vec<(usize, usize)>,
+    /// Slots whose lists sit in `edges`, in ascending start order.
+    listed: Vec<u32>,
+    /// Total entries of live lists.
+    live: usize,
+    /// Ops with a changed fan-in, one bit per op.
+    dirty: Vec<u64>,
+    /// Slots that moved in the current `apply`, with the XOR of their
+    /// flips (committed to `values` at the end).
+    touched: Vec<(u32, u64)>,
+    /// Events of the op being run: `(tick, value-0 lanes, value-1 lanes)`.
+    events: Vec<(u64, u64, u64)>,
     settled_once: bool,
 }
 
 impl<'p> GlitchSim<'p> {
+    /// Arena size below which compaction is not worth a pass.
+    const MIN_COMPACT: usize = 1 << 10;
+
     /// Creates an executor with all lanes at 0 (constants pre-loaded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program has 2^24 ops or more (the packed wheel-key
-    /// budget; far beyond any netlist in the tree).
     #[must_use]
     pub fn new(program: &'p TimedProgram) -> Self {
-        assert!(
-            (program.op_count() as u64) < (1 << KEY_OP_BITS),
-            "program too large for packed wheel keys"
-        );
-        // Event times are bounded by the critical arrival, which must
-        // leave room for the op index in the packed key (2^40 ticks is
-        // a one-second critical path — unreachable for real netlists).
-        let critical_ticks = program.arrival_ticks.iter().copied().max().unwrap_or(0);
-        assert!(
-            critical_ticks < (1 << (64 - KEY_OP_BITS)),
-            "critical path too long for packed wheel keys"
-        );
-        // Bucket span: about one minimum gate delay (then almost every
-        // scheduled key lands past the bucket being drained), floored so
-        // the ladder never exceeds ~4096 buckets even for degenerate
-        // zero-delay libraries.
-        let min_delay = program
-            .delay_ticks
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(1)
-            .max(1);
-        let span_for_budget = (critical_ticks / 4096).max(1);
-        let bucket_shift = 63 - (min_delay.max(span_for_budget) | 1).leading_zeros();
-        let buckets = (critical_ticks >> bucket_shift) as usize + 1;
         let mut values = vec![0u64; program.slot_count()];
         values[SLOT_CONST1 as usize] = u64::MAX;
         Self {
             program,
             toggles: vec![0; program.slot_count()],
             values,
-            ladder: vec![Vec::new(); buckets],
-            bucket_shift,
-            pending: vec![Vec::new(); program.op_count()],
+            edges: Vec::new(),
+            lists: vec![(0, 0); program.slot_count()],
+            listed: Vec::new(),
+            live: 0,
+            dirty: vec![0; program.op_count().div_ceil(64)],
+            touched: Vec::new(),
+            events: Vec::new(),
             settled_once: false,
         }
     }
@@ -407,16 +356,11 @@ impl<'p> GlitchSim<'p> {
     /// Panics on stimulus width mismatch.
     pub fn settle(&mut self, stimulus: &[u64]) {
         let p = self.program;
-        assert_eq!(
-            stimulus.len(),
-            p.input_slots.len(),
-            "stimulus width mismatch"
-        );
-        for (&slot, &word) in p.input_slots.iter().zip(stimulus) {
-            self.values[slot as usize] = word;
-        }
-        for op in 0..p.op_count() {
-            self.values[p.dst[op] as usize] = eval_timed(p, &self.values, op);
+        assert_eq!(stimulus.len(), p.input_count(), "stimulus width mismatch");
+        let first_input = SLOT_FIRST_INPUT as usize;
+        self.values[first_input..first_input + stimulus.len()].copy_from_slice(stimulus);
+        for (i, op) in p.ops.iter().enumerate() {
+            self.values[p.first_op_slot as usize + i] = op.eval(&op.planes(&self.values));
         }
         self.settled_once = true;
     }
@@ -433,131 +377,170 @@ impl<'p> GlitchSim<'p> {
     pub fn apply(&mut self, stimulus: &[u64]) -> GlitchApplyResult {
         assert!(self.settled_once, "call settle() before apply()");
         let p = self.program;
-        assert_eq!(
-            stimulus.len(),
-            p.input_slots.len(),
-            "stimulus width mismatch"
-        );
+        assert_eq!(stimulus.len(), p.input_count(), "stimulus width mismatch");
         let mut transitions = 0u64;
         let mut last_tick = 0u64;
-        // Destructured field locals keep the hot loop free of `&mut self`
-        // method calls (which would re-borrow the whole struct per event).
-        let values = &mut self.values[..];
-        let toggles = &mut self.toggles[..];
-        let ladder = &mut self.ladder[..];
-        let bucket_shift = self.bucket_shift;
-        let pending = &mut self.pending[..];
-        let eval = |values: &[u64], op: usize| eval_timed(p, values, op);
-        // Splits `mask` by the op's present evaluation — the captured
-        // value the scalar engine stores in its heap entries — and merges
-        // into the wheel (fresh keys also drop into their time bucket, so
-        // the ladder never carries duplicates).
-        let schedule = |values: &[u64],
-                        ladder: &mut [Vec<u64>],
-                        pending: &mut [Vec<Pending>],
-                        time: u64,
-                        op: u32,
-                        mask: u64| {
-            let eval = eval(values, op as usize);
-            let (low, high) = (mask & !eval, mask & eval);
-            let list = &mut pending[op as usize];
-            if let Some(entry) = list.iter_mut().find(|entry| entry.time == time) {
-                entry.low |= low;
-                entry.high |= high;
-            } else {
-                list.push(Pending { time, low, high });
-                ladder[(time >> bucket_shift) as usize].push((time << KEY_OP_BITS) | u64::from(op));
-            }
-        };
-
-        // Input changes land at t = 0, processed in declaration order with
-        // fanout evaluations seeing the partially-updated input vector —
-        // the scalar engine's exact capture semantics.
-        for k in 0..p.input_slots.len() {
-            let slot = p.input_slots[k] as usize;
-            let changed = values[slot] ^ stimulus[k];
-            if changed == 0 {
-                continue;
-            }
-            values[slot] = stimulus[k];
-            let flips = u64::from(changed.count_ones());
-            toggles[slot] += flips;
-            transitions += flips;
-            for &op in p.fanout(slot as u32) {
-                schedule(
-                    values,
-                    ladder,
-                    pending,
-                    p.delay_ticks[op as usize],
-                    op,
-                    changed,
-                );
-            }
-        }
-
-        // Drain the ladder bucket by bucket in (time, op) order — the
-        // scalar heap's order, with the value-0 event of a key popping
-        // before the value-1 one. A bucket is sorted when the drain
-        // reaches it; keys scheduled back into the bucket being drained
-        // (delays shorter than the bucket span) re-sort the unprocessed
-        // tail, so the order stays exact.
-        for b in 0..ladder.len() {
-            if ladder[b].is_empty() {
-                continue;
-            }
-            ladder[b].sort_unstable();
-            let mut sorted_len = ladder[b].len();
-            let mut i = 0;
-            while i < ladder[b].len() {
-                if ladder[b].len() > sorted_len {
-                    ladder[b][i..].sort_unstable();
-                    sorted_len = ladder[b].len();
-                }
-                let key = ladder[b][i];
-                i += 1;
-                let time = key >> KEY_OP_BITS;
-                let op = (key & ((1 << KEY_OP_BITS) - 1)) as usize;
-                let list = &mut pending[op];
-                let index = list
-                    .iter()
-                    .position(|entry| entry.time == time)
-                    .expect("ladder key has a pending entry");
-                let Pending { low, high, .. } = list.swap_remove(index);
-                let present = eval(values, op);
-                let dst = p.dst[op] as usize;
-                let out = values[dst];
-                // Inertial cancellation, word-wide: an event fires only
-                // where its captured value still matches the present
-                // evaluation AND differs from the present output.
-                let fired_low = low & !present & out;
-                let after_low = out & !fired_low;
-                let fired_high = high & present & !after_low;
-                let fired = fired_low | fired_high;
-                if fired == 0 {
-                    continue;
-                }
-                values[dst] = after_low | fired_high;
-                let flips = u64::from(fired.count_ones());
-                toggles[dst] += flips;
+        // Input changes land at t = 0.
+        for (k, &word) in stimulus.iter().enumerate() {
+            let slot = SLOT_FIRST_INPUT + k as u32;
+            let changed = self.values[slot as usize] ^ word;
+            if changed != 0 {
+                let flips = u64::from(changed.count_ones());
+                self.toggles[slot as usize] += flips;
                 transitions += flips;
-                last_tick = last_tick.max(time);
-                for &downstream in p.fanout(dst as u32) {
-                    schedule(
-                        values,
-                        ladder,
-                        pending,
-                        time + p.delay_ticks[downstream as usize],
-                        downstream,
-                        fired,
-                    );
-                }
+                let start = self.edges.len();
+                self.edges.push(Edge {
+                    tick: 0,
+                    mask: changed,
+                });
+                self.publish(slot, changed, start);
             }
-            ladder[b].clear();
         }
+        // Dirty ops in program order: marks only ever land on later ops,
+        // so rereading the current word after clearing its lowest bit
+        // visits them all.
+        for w in 0..self.dirty.len() {
+            while self.dirty[w] != 0 {
+                let bits = self.dirty[w];
+                self.dirty[w] = bits & (bits - 1);
+                let (fired, tick) = self.run_op(w * 64 + bits.trailing_zeros() as usize);
+                transitions += fired;
+                last_tick = last_tick.max(tick);
+            }
+        }
+        for &(slot, flips) in &self.touched {
+            self.values[slot as usize] ^= flips;
+        }
+        // Every list was retired by its last consumer.
+        debug_assert_eq!(self.live, 0);
+        self.touched.clear();
+        self.edges.clear();
+        self.listed.clear();
         GlitchApplyResult {
             transitions,
             settle_ps: last_tick as f64 / 1024.0,
         }
+    }
+
+    /// Records that `slot` moved: `flips` is the XOR of its masks, and
+    /// the arena entries from `start` on are its transition list, kept
+    /// (and its consumers marked dirty) only when something reads it.
+    fn publish(&mut self, slot: u32, flips: u64, start: usize) {
+        self.touched.push((slot, flips));
+        let consumers = self.program.fanout(slot);
+        if consumers.is_empty() {
+            self.edges.truncate(start);
+            return;
+        }
+        self.lists[slot as usize] = (start, self.edges.len());
+        self.listed.push(slot);
+        self.live += self.edges.len() - start;
+        for &op in consumers {
+            self.dirty[op as usize / 64] |= 1 << (op % 64);
+        }
+    }
+
+    /// Turns one dirty op's fan-in lists into its output list. Returns
+    /// the op's fired transitions and the tick of its last one.
+    fn run_op(&mut self, index: usize) -> (u64, u64) {
+        let p = self.program;
+        let op = &p.ops[index];
+        let dst = p.first_op_slot + index as u32;
+        let sources = &op.src[..op.sources as usize];
+        let edges = &mut self.edges;
+        // Per fan-in list: read position, end, and the tick at its head
+        // (`u64::MAX` once exhausted).
+        let (mut pos, mut end, mut heads) = ([0; 3], [0; 3], [u64::MAX; 3]);
+        for (j, &s) in sources.iter().enumerate() {
+            (pos[j], end[j]) = self.lists[s as usize];
+            if pos[j] < end[j] {
+                heads[j] = edges[pos[j]].tick;
+            }
+        }
+        let mut planes = op.planes(&self.values);
+        let mut present = op.eval(&planes);
+        let mut out = self.values[dst as usize];
+        let start = edges.len();
+        let (mut fired_total, mut last_tick, mut flips) = (0u64, 0u64, 0u64);
+        let events = &mut self.events;
+        events.clear();
+        let mut head = 0;
+        loop {
+            // The next group: the earliest tick heading any fan-in list.
+            let tick = heads[0].min(heads[1]).min(heads[2]);
+            // Events due before it fire against the present evaluation,
+            // which every fan-in change up to them has reached. Inertial
+            // rule, word-wide: a lane fires where its scheduled value
+            // still matches the present evaluation and differs from the
+            // output (the value-0 half pops first, as in the scalar
+            // heap — equivalently `fired_low = low & !present & out`, then
+            // `fired_high = high & present & !(out & !fired_low)`).
+            while let Some(&(t, low, high)) = events.get(head).filter(|e| e.0 < tick) {
+                head += 1;
+                let fired = ((high & present) | (low & !present)) & (out ^ present);
+                if fired != 0 {
+                    out ^= fired;
+                    flips ^= fired;
+                    fired_total += u64::from(fired.count_ones());
+                    last_tick = t;
+                    edges.push(Edge {
+                        tick: t,
+                        mask: fired,
+                    });
+                }
+            }
+            if tick == u64::MAX {
+                break;
+            }
+            // Merge this tick's entries in source-slot order; each one
+            // schedules the lanes it moved at the value the op evaluates
+            // to right after it.
+            let (mut low, mut high) = (0u64, 0u64);
+            for j in 0..sources.len() {
+                if heads[j] == tick {
+                    let mask = edges[pos[j]].mask;
+                    pos[j] += 1;
+                    heads[j] = if pos[j] < end[j] {
+                        edges[pos[j]].tick
+                    } else {
+                        u64::MAX
+                    };
+                    planes[j] ^= mask;
+                    present = op.eval(&planes);
+                    low |= mask & !present;
+                    high |= mask & present;
+                }
+            }
+            events.push((tick + op.delay, low, high));
+        }
+        self.toggles[dst as usize] += fired_total;
+        if fired_total != 0 {
+            self.publish(dst, flips, start);
+        }
+        for &s in sources {
+            if p.fanout(s).last() == Some(&(index as u32)) {
+                let (lo, hi) = std::mem::take(&mut self.lists[s as usize]);
+                self.live -= hi - lo;
+            }
+        }
+        if self.edges.len() >= Self::MIN_COMPACT.max(2 * self.live) {
+            self.compact();
+        }
+        (fired_total, last_tick)
+    }
+
+    /// Copies the live lists to the front of the arena, in order.
+    fn compact(&mut self) {
+        let mut write = 0;
+        let (edges, lists) = (&mut self.edges, &mut self.lists);
+        self.listed.retain(|&slot| {
+            let (lo, hi) = lists[slot as usize];
+            edges.copy_within(lo..hi, write);
+            lists[slot as usize] = (write, write + hi - lo);
+            write += hi - lo;
+            hi > lo
+        });
+        edges.truncate(write);
     }
 
     /// Per-net transition counts (glitches included) since construction,
@@ -688,7 +671,7 @@ mod tests {
         let bound = program.critical_arrival_ps();
         assert!(bound > 0.0);
         let mut sim = GlitchSim::new(&program);
-        sim.settle(&vec![0u64; 16]);
+        sim.settle(&[0u64; 16]);
         let mut rng = SplitMix64::new(3);
         for _ in 0..20 {
             let stimulus: Vec<u64> = (0..16).map(|_| rng.next_u64()).collect();
@@ -725,6 +708,6 @@ mod tests {
         let n = adder(4);
         let lib = Library::generic_90nm();
         let program = TimedProgram::compile(&n, &lib);
-        let _ = GlitchSim::new(&program).apply(&vec![0u64; 8]);
+        let _ = GlitchSim::new(&program).apply(&[0u64; 8]);
     }
 }

@@ -460,16 +460,16 @@ mod tests {
         let n = adder(6);
         let program = CompiledNetlist::compile(&n);
         program.run_leveled(2, |sim| {
-            sim.evaluate(&vec![u64::MAX; 12]);
+            sim.evaluate(&[u64::MAX; 12]);
             assert!(sim.toggles_per_net().iter().all(|&t| t == 0));
             assert_eq!(sim.words_applied(), 0);
             // A fresh apply after evaluate establishes state for free.
-            sim.apply(&vec![0u64; 12]);
+            sim.apply(&[0u64; 12]);
             assert_eq!(sim.transition_vectors(), 0);
         });
         // A second team over the same program starts from scratch.
         program.run_leveled(2, |sim| {
-            sim.apply(&vec![0u64; 12]);
+            sim.apply(&[0u64; 12]);
             assert_eq!(sim.words_applied(), 1);
         });
     }

@@ -17,10 +17,12 @@
 //!   inside a cycle) that zero-delay simulation cannot, and reports settle
 //!   times that cross-check static timing analysis.
 //! * [`TimedProgram`]/[`GlitchSim`] — the compiled timing twin: 64
-//!   independent stimulus streams through one shared event wheel, an
-//!   exact per-lane emulation of [`TimingSim`]'s inertial-delay
-//!   transition accounting (same delays, same quantization, same event
-//!   order) at a fraction of the cost.
+//!   independent stimulus streams as one topological waveform pass per
+//!   word (each net's transitions a time-sorted list of 64-lane masks,
+//!   each op merging its fan-in lists in program order), an exact
+//!   per-lane emulation of [`TimingSim`]'s inertial-delay transition
+//!   accounting (same delays, same quantization, same event order) at a
+//!   fraction of the cost.
 //!
 //! A compiled program can also run its sweeps *levelized across worker
 //! threads* ([`CompiledNetlist::run_leveled`]): ops on one topological

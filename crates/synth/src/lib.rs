@@ -13,9 +13,11 @@
 //! 4. [`AnalysisReport`] — one record per design, plus [`Savings`]
 //!    comparisons used by the Figure 6/7/9 benches.
 //!
-//! Absolute numbers are synthetic-library estimates; both sides of every
-//! comparison run the identical flow, which is what makes the reductions
-//! meaningful (see `DESIGN.md` §4).
+//! Absolute numbers are synthetic-library estimates. Both sides of every
+//! comparison run the identical flow — same library, optimizer, delay
+//! model and activity vectors — so a library's bias scales both designs
+//! alike and largely cancels in the reported reductions; the reductions,
+//! not the absolute fJ or µm², are what the paper's figures compare.
 
 mod flow;
 pub mod power;

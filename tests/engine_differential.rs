@@ -114,7 +114,8 @@ fn every_generator_agrees_across_engines() {
     let trunc = TruncatedMultiplier::new(6, 3).unwrap();
     let etm = EtmMultiplier::new(6).unwrap();
     let sdlc2 = SdlcMultiplier::new(6, 2).unwrap();
-    let netlists: Vec<(Netlist, Box<dyn Fn(u128, u128) -> U256 + Sync>)> = vec![
+    type Model = Box<dyn Fn(u128, u128) -> U256 + Sync>;
+    let netlists: Vec<(Netlist, Model)> = vec![
         (
             accurate_multiplier(6, scheme).unwrap(),
             Box::new(|a, b| U256::from_u128(a).wrapping_mul(&U256::from_u128(b))),

@@ -83,10 +83,14 @@ fn random_dag(inputs: u32, ops: &[(u8, u32, u32, u32)]) -> Netlist {
 /// 64 lanes (lane `i` = stream `i % streams`), so the compiled totals are
 /// exactly `64 / streams` times the scalar sum.
 fn assert_glitch_match(n: &Netlist, words: &[Vec<u64>], streams: u32) {
+    assert_glitch_match_on(n, &Library::generic_90nm(), words, streams);
+}
+
+/// [`assert_glitch_match`] under an arbitrary delay library.
+fn assert_glitch_match_on(n: &Netlist, lib: &Library, words: &[Vec<u64>], streams: u32) {
     assert_eq!(64 % streams, 0);
     let replication = u64::from(64 / streams);
-    let lib = Library::generic_90nm();
-    let program = TimedProgram::compile(n, &lib);
+    let program = TimedProgram::compile(n, lib);
     let mut compiled = GlitchSim::new(&program);
     compiled.settle(&words[0]);
     let mut compiled_transitions = 0u64;
@@ -102,7 +106,7 @@ fn assert_glitch_match(n: &Netlist, words: &[Vec<u64>], streams: u32) {
     for lane in 0..streams {
         let bits =
             |word: &Vec<u64>| -> Vec<bool> { word.iter().map(|&w| (w >> lane) & 1 == 1).collect() };
-        let mut sim = TimingSim::new(n, &lib);
+        let mut sim = TimingSim::new(n, lib);
         sim.settle(&bits(&words[0]));
         for word in &words[1..] {
             let result = sim.apply(&bits(word));
@@ -136,6 +140,42 @@ fn replicate8(byte: u64) -> u64 {
     (byte & 0xFF) * 0x0101_0101_0101_0101
 }
 
+/// A library whose cells all share one delay with no load slope, so
+/// fan-ins from different gates reach an op on the same tick: merge ties
+/// between sources are the rule, not the exception. A zero delay puts
+/// every event of a word on tick 0.
+fn uniform_library(delay_ps: f64) -> Library {
+    let cells: String = [
+        "BUF", "INV", "AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2", "MUX2",
+    ]
+    .iter()
+    .map(|name| {
+        format!("  cell {name} {{ area 1 cap 1 delay {delay_ps} drive 0 energy 1 leak 0 }}\n")
+    })
+    .collect();
+    Library::from_text(&format!(
+        "library uniform {{\n  wire_cap_per_fanout_ff 0\n{cells}}}\n"
+    ))
+    .unwrap()
+}
+
+/// `count` stimulus words where every other word moves only one input, so
+/// consecutive applies carry most of the circuit's state over unchanged.
+fn sparse_words(inputs: usize, count: usize, rng: &mut SplitMix64) -> Vec<Vec<u64>> {
+    let mut words: Vec<Vec<u64>> = Vec::new();
+    for k in 0..count {
+        let word = if k % 2 == 0 {
+            (0..inputs).map(|_| rng.next_u64()).collect()
+        } else {
+            let mut word = words[k - 1].clone();
+            word[rng.next_bits(16) as usize % inputs] ^= rng.next_u64();
+            word
+        };
+        words.push(word);
+    }
+    words
+}
+
 proptest! {
     /// On random gate DAGs, the compiled glitch engine counts exactly the
     /// transitions (glitches included) that scalar TimingSim streams do.
@@ -152,6 +192,25 @@ proptest! {
             .map(|_| (0..inputs).map(|_| replicate8(rng.next_u64())).collect())
             .collect();
         assert_glitch_match(&n, &words, 8);
+    }
+
+    /// Equal delays everywhere tie fan-in arrivals from different gates
+    /// on one tick; zero delays put a whole word on tick 0. Runs of eight
+    /// words carry state across applies.
+    #[test]
+    fn uniform_delays_match_timing_sim_on_random_dags(
+        inputs in 1u32..7,
+        ops in prop::collection::vec((any::<u8>(), any::<u32>(), any::<u32>(), any::<u32>()), 1..40),
+        delay in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let n = random_dag(inputs, &ops);
+        let mut rng = SplitMix64::new(seed);
+        let words: Vec<Vec<u64>> = (0..8)
+            .map(|_| (0..inputs).map(|_| replicate8(rng.next_u64())).collect())
+            .collect();
+        let lib = uniform_library([0.0, 10.0, 12.5][delay]);
+        assert_glitch_match_on(&n, &lib, &words, 8);
     }
 
     /// Deeper zero-delay folding stays bit-identical to the structural
@@ -292,5 +351,69 @@ fn arrival_metadata_bounds_both_engines() {
         let b = u128::from(rng.next_bits(8));
         let result = sim.apply(&stim(a, b));
         assert!(result.settle_ps <= bound + 1e-6);
+    }
+}
+
+/// Wide ripple arrays produce tens of thousands of transition-list
+/// entries per applied word, enough for the waveform arena to compact
+/// mid-pass; live lists must survive the copy, and dead ones must not
+/// leak into the next word (words that move one input rerun ops whose
+/// other fan-ins stay quiet).
+#[test]
+fn arena_compaction_keeps_lists_exact() {
+    let n = accurate_multiplier(16, ReductionScheme::RippleRows).unwrap();
+    let mut rng = SplitMix64::new(0xC0DE);
+    let words = sparse_words(n.inputs().len(), 6, &mut rng);
+    assert_glitch_match(&n, &words, 64);
+}
+
+/// Gates that read one net on two pins (the net is one fan-in source
+/// feeding both), muxes whose select is also a data input, and ops whose
+/// outputs nothing reads, under tied and load-dependent delays, over runs
+/// where state carries across applies.
+#[test]
+fn shared_pins_and_unread_ops_match_timing_sim() {
+    let mut n = Netlist::new("pins");
+    let a = n.add_input_bus("a", 4);
+    let b = n.add_input_bus("b", 2);
+    let x = n.xor2(a[0], a[1]);
+    let self_xor = n.xor2(x, x);
+    let self_xnor = n.xnor2(a[2], a[2]);
+    let self_and = n.and2(x, x);
+    let sel_lo = n.mux2(a[3], a[3], x);
+    let sel_hi = n.mux2(a[3], x, a[3]);
+    let all_one = n.mux2(b[0], b[0], b[0]);
+    let lo_hi = n.mux2(x, b[1], b[1]);
+    let or = n.or2(self_xor, sel_lo);
+    let nand = n.nand2(sel_hi, lo_hi);
+    let y = n.xor2(or, nand);
+    // Read by nothing, and not outputs either.
+    let _ = n.nor2(y, self_and);
+    let _ = n.buf(all_one);
+    let _ = n.not(self_xnor);
+    n.set_output_bus("p", vec![y, self_and, all_one]);
+    n.validate().unwrap();
+    let mut rng = SplitMix64::new(0x5A17);
+    for lib in [Library::generic_90nm(), uniform_library(10.0)] {
+        let words = sparse_words(n.inputs().len(), 9, &mut rng);
+        assert_glitch_match_on(&n, &lib, &words, 64);
+    }
+}
+
+/// Multiplier families under tied delays, full 64-lane streams.
+#[test]
+fn generator_families_match_under_uniform_delays() {
+    let sdlc2 = SdlcMultiplier::new(6, 2).unwrap();
+    let netlists = [
+        accurate_multiplier(6, ReductionScheme::RippleRows).unwrap(),
+        accurate_multiplier(6, ReductionScheme::Wallace).unwrap(),
+        sdlc_multiplier(&sdlc2, ReductionScheme::Dadda),
+        signed_multiplier(&sdlc_multiplier(&sdlc2, ReductionScheme::RippleRows), 6),
+    ];
+    let lib = uniform_library(10.0);
+    let mut rng = SplitMix64::new(0x7135);
+    for n in &netlists {
+        let words = sparse_words(n.inputs().len(), 5, &mut rng);
+        assert_glitch_match_on(n, &lib, &words, 64);
     }
 }
