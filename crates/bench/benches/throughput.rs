@@ -10,6 +10,7 @@ use sdlc_core::{AccurateMultiplier, Multiplier, SdlcMultiplier};
 use sdlc_netlist::GateKind;
 use sdlc_sim::{BitParallelSim, LogicSim};
 use sdlc_wideint::{SplitMix64, U256};
+use std::time::Instant;
 
 fn bench_multipliers(c: &mut Criterion) {
     let mut group = c.benchmark_group("multiply_u64_16bit");
@@ -84,9 +85,10 @@ fn bench_exhaustive_products(c: &mut Criterion) {
 /// Part 2 — the same sweep driven all the way into finished
 /// `ErrorMetrics`, on a single worker thread. The two runs produce
 /// bit-identical metrics (`tests/batch_differential.rs`); only the time
-/// differs. The ratio is smaller than the product sweep's because both
-/// engines share the per-error floating-point accounting, which the
-/// paper's 49 % error rate at 8 bits makes a fixed cost (Amdahl).
+/// differs. The scalar engine records pair by pair; the bit-sliced one
+/// records each 64-lane block at once into the exact accumulators, so
+/// the accounting shrinks with the products instead of staying a fixed
+/// per-error cost.
 fn bench_exhaustive_metrics(c: &mut Criterion) {
     let model = SdlcMultiplier::new(8, 2).unwrap();
     let mut group = c.benchmark_group("exhaustive_metrics_8bit_sdlc_d2");
@@ -98,6 +100,59 @@ fn bench_exhaustive_metrics(c: &mut Criterion) {
         b.iter(|| exhaustive_bitsliced_with_threads(&model, 1).unwrap())
     });
     group.finish();
+}
+
+/// Both headline ratios side by side: scalar → bit-sliced speedup of the
+/// bare product sweep and of the full `ErrorMetrics` sweep (best of 20
+/// single-threaded runs each).
+fn bench_engine_ratios(_: &mut Criterion) {
+    let model = SdlcMultiplier::new(8, 2).unwrap();
+    let batch = model.batch_model();
+    let best = |f: &dyn Fn()| {
+        (0..20)
+            .map(|_| {
+                let start = Instant::now();
+                f();
+                start.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let scalar_products = best(&|| {
+        let mut fold = 0u128;
+        for a in 0..256u64 {
+            for bb in 0..256u64 {
+                fold ^= model.multiply_u64(a, bb);
+            }
+        }
+        std::hint::black_box(fold);
+    });
+    let bitsliced_products = best(&|| {
+        let mut lanes = [0u64; LANES];
+        let mut fold = 0u64;
+        for a in 0..256u64 {
+            batch.sweep_operand_row(a, 256, &mut |_b0, planes| {
+                sdlc_core::batch::extract_product_lanes(planes, &mut lanes);
+                fold ^= lanes.iter().fold(0, |x, &l| x ^ l);
+            });
+        }
+        std::hint::black_box(fold);
+    });
+    let scalar_metrics = best(&|| {
+        std::hint::black_box(exhaustive_with_threads(&model, 1).unwrap());
+    });
+    let bitsliced_metrics = best(&|| {
+        std::hint::black_box(exhaustive_bitsliced_with_threads(&model, 1).unwrap());
+    });
+    println!(
+        "engine ratios, 8-bit SDLC d2 exhaustive, 1 thread: products {:.1}x \
+         ({:.2} -> {:.2} ms), full ErrorMetrics {:.1}x ({:.2} -> {:.2} ms)",
+        scalar_products / bitsliced_products,
+        scalar_products * 1e3,
+        bitsliced_products * 1e3,
+        scalar_metrics / bitsliced_metrics,
+        scalar_metrics * 1e3,
+        bitsliced_metrics * 1e3,
+    );
 }
 
 /// Raw model evaluation with the error accounting factored out: 64
@@ -225,6 +280,7 @@ criterion_group!(
     bench_multipliers,
     bench_exhaustive_products,
     bench_exhaustive_metrics,
+    bench_engine_ratios,
     bench_batch_models,
     bench_wide_path,
     bench_wideint,

@@ -10,10 +10,13 @@
 //! Every driver runs on one of two [`Engine`]s: the scalar path calls
 //! [`Multiplier::multiply_u64`] once per pair, while the bit-sliced path
 //! evaluates 64 pairs per pass through the transposed bit-plane models of
-//! [`crate::batch`]. The engines are bit-exact twins — same pair order,
-//! same accumulation order, bit-identical [`ErrorMetrics`] — so the
-//! bit-sliced engine is a pure speedup (~10–20× per core) that also raises
-//! the exhaustive ceiling to [`BITSLICED_EXHAUSTIVE_WIDTH_LIMIT`] bits.
+//! [`crate::batch`] and records them lane-wise
+//! ([`ErrorAccumulator::record_block_u64`]). The products are bit-exact
+//! twins and [`ErrorAccumulator`] sums exactly, independent of recording
+//! order, so both engines — at any thread count — return bit-identical
+//! [`ErrorMetrics`]; the bit-sliced engine is a pure speedup that also
+//! raises the exhaustive ceiling to [`BITSLICED_EXHAUSTIVE_WIDTH_LIMIT`]
+//! bits.
 
 use core::fmt;
 
@@ -120,12 +123,12 @@ fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Every exhaustive driver (scalar and bit-sliced, metrics and histogram)
+/// Every parallel driver (scalar and bit-sliced, metrics and histogram)
 /// partitions and merges through the one shared splitter in
-/// `sdlc-wideint` — the chunk formula and merge order are part of the
-/// engines' bit-identity contract, so they must never diverge between
-/// paths (the compiled-engine equivalence checks in `sdlc-sim` shard the
-/// same way, through the same function).
+/// `sdlc-wideint`, as do the compiled-engine equivalence checks in
+/// `sdlc-sim`. The sampled drivers' fixed 256-shard layout keeps their
+/// draws thread-count independent; the exact accumulators make every
+/// merge order give the same metrics.
 pub(crate) use sdlc_wideint::parallel::{parallel_chunks, parallel_shard_chunks};
 
 /// Exhaustively evaluates every operand pair of an `N ≤ 16` bit multiplier
@@ -142,8 +145,9 @@ where
     exhaustive_with_threads(multiplier, default_threads())
 }
 
-/// [`exhaustive`] with an explicit worker-thread count (the result does not
-/// depend on the count; it only partitions the sweep).
+/// [`exhaustive`] with an explicit worker-thread count (the count only
+/// partitions the sweep: the exact accumulation makes the result
+/// bit-identical for every count).
 ///
 /// # Errors
 ///
@@ -168,11 +172,15 @@ where
     let count: u64 = 1u64 << width;
     let partials = parallel_chunks(count, threads, |lo, hi| {
         let mut acc = ErrorAccumulator::new();
+        let mut approx = [0u64; LANES];
         for a in lo..hi {
-            for b in 0..count {
-                let exact = u128::from(a) * u128::from(b);
-                let approx = multiplier.multiply_u64(a, b);
-                acc.record_u64(exact, approx, (a, b));
+            for b0 in (0..count).step_by(LANES) {
+                let valid = (count - b0).min(LANES as u64) as usize;
+                for (i, p) in approx.iter_mut().enumerate().take(valid) {
+                    // Products of models up to 16 bits fit a u64.
+                    *p = multiplier.multiply_u64(a, b0 + i as u64) as u64;
+                }
+                acc.record_row_block(a, b0, &approx, valid);
             }
         }
         acc
@@ -203,9 +211,9 @@ where
 }
 
 /// Exhaustively evaluates every operand pair through the bit-sliced
-/// 64-lane engine — the same sweep order, thread splitting and
-/// accumulation order as [`exhaustive`], so the resulting
-/// [`ErrorMetrics`] are bit-identical, at a fraction of the cost.
+/// 64-lane engine, recording each block lane-wise; the resulting
+/// [`ErrorMetrics`] are bit-identical to [`exhaustive`]'s, at a fraction
+/// of the cost.
 ///
 /// # Errors
 ///
@@ -219,7 +227,8 @@ where
 }
 
 /// [`exhaustive_bitsliced`] with an explicit worker-thread count (as with
-/// the scalar driver, the count only partitions the sweep).
+/// the scalar driver, the count only partitions the sweep; results are
+/// bit-identical for every count).
 ///
 /// # Errors
 ///
@@ -249,7 +258,7 @@ where
         let batch = multiplier.batch_model();
         let mut acc = ErrorAccumulator::new();
         sweep_blocks(&batch, lo, hi, count, |a, b0, valid, approx| {
-            record_block(&mut acc, a, b0, valid, approx);
+            acc.record_row_block(a, b0, approx, valid);
         });
         acc
     });
@@ -263,8 +272,7 @@ where
 /// Walks the `[lo, hi) × [0, count)` operand rectangle in 64-lane blocks
 /// through a bit-sliced model, handing each block's un-transposed products
 /// to `visit(a, b0, valid, products)`. The exhaustive drivers (metrics and
-/// histogram) share this loop so their pair order matches the scalar
-/// engines exactly.
+/// histogram) share this loop.
 pub(crate) fn sweep_blocks<B: BatchMultiplier>(
     batch: &B,
     lo: u64,
@@ -294,28 +302,6 @@ pub(crate) fn sweep_blocks<B: BatchMultiplier>(
             crate::batch::extract_product_lanes(&product[..2 * planes], &mut approx);
             visit(a, 0, valid, &approx);
         }
-    }
-}
-
-/// Feeds one exhaustive block into the accumulator: exact lanes in bulk,
-/// error lanes individually in ascending-lane (scalar) order, so float
-/// accumulation matches the scalar engine bit for bit.
-fn record_block(acc: &mut ErrorAccumulator, a: u64, b0: u64, valid: usize, approx: &[u64; LANES]) {
-    let mut err_mask = 0u64;
-    for (i, &p) in approx.iter().enumerate().take(valid) {
-        let exact = a * (b0 + i as u64);
-        err_mask |= u64::from(p != exact) << i;
-    }
-    acc.record_exact_many(valid as u64 - u64::from(err_mask.count_ones()));
-    while err_mask != 0 {
-        let i = err_mask.trailing_zeros() as u64;
-        err_mask &= err_mask - 1;
-        let b = b0 + i;
-        acc.record_u64(
-            u128::from(a) * u128::from(b),
-            u128::from(approx[i as usize]),
-            (a, b),
-        );
     }
 }
 
@@ -371,12 +357,17 @@ where
             let begin = shard * per_shard;
             let end = (begin + per_shard).min(samples);
             if width <= 32 {
-                for _ in begin..end {
-                    let a = rng.next_bits(width);
-                    let b = rng.next_bits(width);
-                    let exact = u128::from(a) * u128::from(b);
-                    let approx = multiplier.multiply_u64(a, b);
-                    acc.record_u64(exact, approx, (a, b));
+                let (mut a, mut b, mut approx) = ([0u64; LANES], [0u64; LANES], [0u64; LANES]);
+                let mut n = begin;
+                while n < end {
+                    let valid = (end - n).min(LANES as u64) as usize;
+                    for i in 0..valid {
+                        a[i] = rng.next_bits(width);
+                        b[i] = rng.next_bits(width);
+                        approx[i] = multiplier.multiply_u64(a[i], b[i]) as u64;
+                    }
+                    acc.record_block_u64(&a, &b, &approx, valid);
+                    n += valid as u64;
                 }
             } else {
                 for _ in begin..end {
@@ -399,8 +390,8 @@ where
 }
 
 /// [`sampled`] dispatched on an [`Engine`]; for widths both engines
-/// accept, the draws, pair order and accumulation order are identical, so
-/// the metrics are bit-identical.
+/// accept, the draws are identical and the accumulation exact, so the
+/// metrics are bit-identical.
 ///
 /// # Errors
 ///
@@ -423,7 +414,8 @@ where
 }
 
 /// [`sampled`] through the bit-sliced 64-lane engine: same SplitMix64
-/// shard streams, same draw order, bit-identical [`ErrorMetrics`].
+/// shard streams, each 64-draw block recorded lane-wise, bit-identical
+/// [`ErrorMetrics`].
 ///
 /// # Errors
 ///
@@ -504,21 +496,7 @@ where
                     &mut product[..2 * planes],
                 );
                 crate::batch::extract_product_lanes(&product[..2 * planes], &mut approx);
-                let mut err_mask = 0u64;
-                for i in 0..valid {
-                    let exact = u128::from(a_lanes[i]) * u128::from(b_lanes[i]);
-                    err_mask |= u64::from(u128::from(approx[i]) != exact) << i;
-                }
-                acc.record_exact_many(valid as u64 - u64::from(err_mask.count_ones()));
-                while err_mask != 0 {
-                    let i = err_mask.trailing_zeros() as usize;
-                    err_mask &= err_mask - 1;
-                    acc.record_u64(
-                        u128::from(a_lanes[i]) * u128::from(b_lanes[i]),
-                        u128::from(approx[i]),
-                        (a_lanes[i], b_lanes[i]),
-                    );
-                }
+                acc.record_block_u64(&a_lanes, &b_lanes, &approx, valid);
                 n += valid as u64;
             }
         }
@@ -634,22 +612,18 @@ mod tests {
     fn exhaustive_is_thread_count_invariant() {
         let m = SdlcMultiplier::new(6, 2).unwrap();
         let one = exhaustive_with_threads(&m, 1).unwrap();
-        let many = exhaustive_with_threads(&m, 7).unwrap();
-        assert_eq!(one.samples, many.samples);
-        assert_eq!(one.error_rate, many.error_rate);
-        assert!((one.mred - many.mred).abs() < 1e-15);
-        assert!((one.nmed - many.nmed).abs() < 1e-15);
-        assert_eq!(one.max_red, many.max_red);
+        for threads in [2, 7] {
+            assert_eq!(one, exhaustive_with_threads(&m, threads).unwrap());
+        }
     }
 
     #[test]
     fn sampled_is_thread_count_invariant() {
         let m = SdlcMultiplier::new(12, 2).unwrap();
-        let a = sampled_with_threads(&m, 40_000, 42, 1).unwrap();
-        let b = sampled_with_threads(&m, 40_000, 42, 5).unwrap();
-        assert_eq!(a.samples, b.samples);
-        assert_eq!(a.error_rate, b.error_rate);
-        assert!((a.mred - b.mred).abs() < 1e-15);
+        let one = sampled_with_threads(&m, 40_000, 42, 1).unwrap();
+        for threads in [2, 5] {
+            assert_eq!(one, sampled_with_threads(&m, 40_000, 42, threads).unwrap());
+        }
     }
 
     #[test]
@@ -697,11 +671,9 @@ mod tests {
     fn bitsliced_exhaustive_is_thread_count_invariant() {
         let m = SdlcMultiplier::new(6, 3).unwrap();
         let one = exhaustive_bitsliced_with_threads(&m, 1).unwrap();
-        let many = exhaustive_bitsliced_with_threads(&m, 7).unwrap();
-        assert_eq!(one.samples, many.samples);
-        assert_eq!(one.error_rate, many.error_rate);
-        assert!((one.mred - many.mred).abs() < 1e-15);
-        assert_eq!(one.max_red, many.max_red);
+        for threads in [2, 7] {
+            assert_eq!(one, exhaustive_bitsliced_with_threads(&m, threads).unwrap());
+        }
     }
 
     #[test]

@@ -4,12 +4,64 @@ use core::fmt;
 
 use sdlc_wideint::U256;
 
+use crate::batch::LANES;
+use crate::error::superacc::{round_to_f64, Superaccumulator};
+
+/// Exact integer sum of error distances, `high · 2^128 + low`: room for
+/// 2^64 terms below 2^256.
+#[derive(Debug, Clone, Copy, Default)]
+struct EdSum {
+    low: u128,
+    high: U256,
+}
+
+impl EdSum {
+    fn add(&mut self, ed: u128) {
+        let (low, carry) = self.low.overflowing_add(ed);
+        self.low = low;
+        if carry {
+            self.high += U256::ONE;
+        }
+    }
+
+    fn add_wide(&mut self, ed: &U256) {
+        self.add(ed.as_u128());
+        self.high += ed.shr(128);
+    }
+
+    fn merge(&mut self, other: &EdSum) {
+        self.add(other.low);
+        self.high += other.high;
+    }
+
+    /// The sum rounded once to the nearest `f64`.
+    fn to_f64(self) -> f64 {
+        let [h0, h1, h2, h3] = *self.high.limbs();
+        round_to_f64(
+            &[self.low as u64, (self.low >> 64) as u64, h0, h1, h2, h3],
+            0,
+        )
+    }
+}
+
 /// Streaming accumulator for error statistics.
 ///
-/// Feed it `(exact, approximate)` product pairs with
-/// [`ErrorAccumulator::record_u64`] (fast path, products ≤ 128 bits) or
-/// [`ErrorAccumulator::record`] (wide path); partial accumulators from
+/// Feed it `(exact, approximate)` product pairs one at a time with
+/// [`ErrorAccumulator::record_u64`] (products ≤ 128 bits),
+/// [`ErrorAccumulator::record_i64`] (signed) or
+/// [`ErrorAccumulator::record`] (wide), or 64 lanes at a time with
+/// [`ErrorAccumulator::record_block_u64`] /
+/// [`ErrorAccumulator::record_block_i64`]; partial accumulators from
 /// worker threads combine with [`ErrorAccumulator::merge`].
+///
+/// Every statistic is **order-independent**: error distances are summed
+/// as exact integers, each pair's RED and RED² go into a
+/// [`Superaccumulator`] that sums them exactly, and the maxima break ties
+/// on the operand pair. So any recording order, any split into partial
+/// accumulators and any merge tree give bit-identical [`ErrorMetrics`] —
+/// which is what makes the error drivers independent of thread count and
+/// engine. Each sum is rounded to `f64` once, in
+/// [`ErrorAccumulator::finish`].
 ///
 /// # Examples
 ///
@@ -29,12 +81,94 @@ pub struct ErrorAccumulator {
     samples: u64,
     errors: u64,
     undefined_red: u64,
-    sum_ed: f64,
-    sum_red: f64,
-    sum_red_sq: f64,
+    sum_ed: EdSum,
+    sum_red: Superaccumulator,
+    sum_red_sq: Superaccumulator,
     max_red: f64,
     max_ed: f64,
     worst_red_operands: Option<(u128, u128)>,
+}
+
+/// `u128 → f64` (round to nearest). `u64 → f64` is a single instruction
+/// while `u128 → f64` is a slow libcall; both round identically for values
+/// that fit, and error distances and ≤64-bit products always fit.
+fn to_f64(x: u128) -> f64 {
+    if x <= u128::from(u64::MAX) {
+        x as u64 as f64
+    } else {
+        x as f64
+    }
+}
+
+fn or_lanes(x: &[u64; LANES]) -> u64 {
+    x.iter().fold(0, |acc, &v| acc | v)
+}
+
+/// The largest of 64 non-negative values, in eight independent chains.
+fn max_lanes<T: PartialOrd + Copy + Default>(x: &[T; LANES]) -> T {
+    let mut top = [T::default(); 8];
+    for chunk in x.chunks_exact(8) {
+        for (t, &v) in top.iter_mut().zip(chunk) {
+            *t = if v > *t { v } else { *t };
+        }
+    }
+    top.iter()
+        .fold(T::default(), |m, &t| if t > m { t } else { m })
+}
+
+/// The lane-wise statistics of one block.
+struct BlockStats {
+    /// Per-lane RED; `+0.0` where the lane is exact or its exact product
+    /// is zero (undefined RED).
+    red: [f64; LANES],
+    red_sq: [f64; LANES],
+    errors: u64,
+    undefined: u64,
+    ed_sum: u128,
+}
+
+/// One straight-line pass over the block. `SMALL` promises every value is
+/// below 2^52, where `x as f64` equals the branch-free, vectorizable
+/// `from_bits(2^52 bits | x) − 2^52` and the ED sum fits `u64`.
+#[inline(always)]
+fn block_stats<const SMALL: bool>(ed: &[u64; LANES], magnitude: &[u64; LANES]) -> BlockStats {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let convert = |x: u64| {
+        if SMALL {
+            f64::from_bits(x | TWO_52.to_bits()) - TWO_52
+        } else {
+            x as f64
+        }
+    };
+    let mut stats = BlockStats {
+        red: [0.0; LANES],
+        red_sq: [0.0; LANES],
+        errors: 0,
+        undefined: 0,
+        ed_sum: 0,
+    };
+    let mut ed_sum = 0u64;
+    for i in 0..LANES {
+        let (d, m) = (ed[i], magnitude[i]);
+        let error = u64::from(d != 0);
+        let zero = u64::from(m == 0);
+        stats.errors += error;
+        stats.undefined += error & zero;
+        if SMALL {
+            ed_sum += d;
+        } else {
+            stats.ed_sum += u128::from(d);
+        }
+        // RED = ED / |P|; a zero |P| divides by 1 and is masked out.
+        let q = convert(d) / convert(m | zero);
+        let red = f64::from_bits(q.to_bits() & zero.wrapping_sub(1));
+        stats.red[i] = red;
+        stats.red_sq[i] = red * red;
+    }
+    if SMALL {
+        stats.ed_sum = u128::from(ed_sum);
+    }
+    stats
 }
 
 impl ErrorAccumulator {
@@ -53,35 +187,11 @@ impl ErrorAccumulator {
     /// are excluded from the RED mean and maximum
     /// ([`ErrorMetrics::undefined_red_count`] reports how many).
     pub fn record_u64(&mut self, exact: u128, approx: u128, operands: (u64, u64)) {
-        self.samples += 1;
-        if exact == approx {
-            return;
-        }
-        self.errors += 1;
-        // `u64 → f64` is a single instruction while `u128 → f64` is a
-        // slow libcall; both round identically for values that fit, so
-        // taking the narrow path keeps results bit-identical. Error
-        // distances and ≤64-bit products (the exhaustive sweeps' entire
-        // diet) always fit.
-        let diff = exact.abs_diff(approx);
-        let ed = if diff <= u128::from(u64::MAX) {
-            diff as u64 as f64
-        } else {
-            diff as f64
-        };
-        if exact == 0 {
-            self.undefined_red += 1;
-            self.sum_ed += ed;
-            self.max_ed = self.max_ed.max(ed);
-            return;
-        }
-        let exact_f = if exact <= u128::from(u64::MAX) {
-            exact as u64 as f64
-        } else {
-            exact as f64
-        };
-        let red = ed / exact_f;
-        self.bump(ed, red, (u128::from(operands.0), u128::from(operands.1)));
+        self.record_distance(
+            exact.abs_diff(approx),
+            exact,
+            (u128::from(operands.0), u128::from(operands.1)),
+        );
     }
 
     /// Records one *signed* multiplication with products that fit `i128`:
@@ -92,33 +202,9 @@ impl ErrorAccumulator {
     /// [`ErrorMetrics::worst_red_operands_signed`]); the zero-product
     /// convention matches [`ErrorAccumulator::record_u64`].
     pub fn record_i64(&mut self, exact: i128, approx: i128, operands: (i64, i64)) {
-        self.samples += 1;
-        if exact == approx {
-            return;
-        }
-        self.errors += 1;
-        let diff = exact.abs_diff(approx);
-        let ed = if diff <= u128::from(u64::MAX) {
-            diff as u64 as f64
-        } else {
-            diff as f64
-        };
-        if exact == 0 {
-            self.undefined_red += 1;
-            self.sum_ed += ed;
-            self.max_ed = self.max_ed.max(ed);
-            return;
-        }
-        let magnitude = exact.unsigned_abs();
-        let exact_f = if magnitude <= u128::from(u64::MAX) {
-            magnitude as u64 as f64
-        } else {
-            magnitude as f64
-        };
-        let red = ed / exact_f;
-        self.bump(
-            ed,
-            red,
+        self.record_distance(
+            exact.abs_diff(approx),
+            exact.unsigned_abs(),
             (
                 i128::from(operands.0) as u128,
                 i128::from(operands.1) as u128,
@@ -134,34 +220,225 @@ impl ErrorAccumulator {
             return;
         }
         self.errors += 1;
-        let ed = exact.abs_diff(approx).to_f64();
+        let ed = exact.abs_diff(approx);
+        self.sum_ed.add_wide(&ed);
+        let ed = ed.to_f64();
+        self.max_ed = self.max_ed.max(ed);
         if exact.is_zero() {
             self.undefined_red += 1;
-            self.sum_ed += ed;
-            self.max_ed = self.max_ed.max(ed);
             return;
         }
-        let red = ed / exact.to_f64();
-        self.bump(ed, red, operands);
+        self.record_red(ed / exact.to_f64(), operands);
     }
 
-    fn bump(&mut self, ed: f64, red: f64, operands: (u128, u128)) {
-        self.sum_ed += ed;
-        self.sum_red += red;
-        self.sum_red_sq += red * red;
+    /// Records one pair given its error distance and exact-product
+    /// magnitude.
+    fn record_distance(&mut self, ed: u128, magnitude: u128, operands: (u128, u128)) {
+        self.samples += 1;
+        if ed == 0 {
+            return;
+        }
+        self.errors += 1;
+        self.sum_ed.add(ed);
+        let ed = to_f64(ed);
         self.max_ed = self.max_ed.max(ed);
-        if red > self.max_red {
+        if magnitude == 0 {
+            self.undefined_red += 1;
+            return;
+        }
+        self.record_red(ed / to_f64(magnitude), operands);
+    }
+
+    fn record_red(&mut self, red: f64, operands: (u128, u128)) {
+        self.sum_red.add(red);
+        self.sum_red_sq.add(red * red);
+        self.offer_worst(red, operands);
+    }
+
+    /// Keeps the largest RED; among pairs at the same RED, the smallest
+    /// operand pattern pair (the first in an exhaustive sweep's order), so
+    /// the choice does not depend on recording order.
+    fn offer_worst(&mut self, red: f64, operands: (u128, u128)) {
+        let better = red > self.max_red
+            || (red == self.max_red && self.worst_red_operands.is_some_and(|w| operands < w));
+        if better {
             self.max_red = red;
             self.worst_red_operands = Some(operands);
         }
     }
 
-    /// Records `count` exact multiplications at once — equivalent to
-    /// `count` calls of [`ErrorAccumulator::record_u64`] with
-    /// `exact == approx`. The bit-sliced drivers use this for the lanes
-    /// of a batch whose products matched the reference.
-    pub fn record_exact_many(&mut self, count: u64) {
-        self.samples += count;
+    /// Records a 64-lane block of unsigned pairs: lane `i` multiplied
+    /// `a[i] × b[i]` to `approx[i]`. Only lanes `0..valid` are recorded.
+    /// The result is identical to [`ErrorAccumulator::record_u64`] on each
+    /// valid lane; a full block of operands up to 32 bits is computed
+    /// lane-wise — distances, branch-free RED divisions, sums and maxima.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `valid > 64`.
+    pub fn record_block_u64(
+        &mut self,
+        a: &[u64; LANES],
+        b: &[u64; LANES],
+        approx: &[u64; LANES],
+        valid: usize,
+    ) {
+        assert!(valid <= LANES, "a block holds at most {LANES} lanes");
+        let narrow = or_lanes(a).leading_zeros() + or_lanes(b).leading_zeros() >= 64;
+        if valid < LANES || !narrow {
+            // Partial blocks and products beyond 64 bits: per pair.
+            for i in 0..valid {
+                self.record_u64(
+                    u128::from(a[i]) * u128::from(b[i]),
+                    u128::from(approx[i]),
+                    (a[i], b[i]),
+                );
+            }
+            return;
+        }
+        let mut exact = [0u64; LANES];
+        let mut ed = [0u64; LANES];
+        for i in 0..LANES {
+            exact[i] = a[i] * b[i];
+            ed[i] = exact[i].abs_diff(approx[i]);
+        }
+        self.record_lanes(&ed, &exact, |i| (u128::from(a[i]), u128::from(b[i])));
+    }
+
+    /// [`ErrorAccumulator::record_block_u64`] for one block of an
+    /// exhaustive row: lane `i` multiplied `a × (b0 + i)`. The exact
+    /// products step by `a` from lane to lane, so no operand lanes are
+    /// built.
+    pub(crate) fn record_row_block(
+        &mut self,
+        a: u64,
+        b0: u64,
+        approx: &[u64; LANES],
+        valid: usize,
+    ) {
+        if valid < LANES || 64 - a.leading_zeros() + 64 - (b0 + 63).leading_zeros() > 64 {
+            let b: [u64; LANES] = core::array::from_fn(|i| b0 + i as u64);
+            self.record_block_u64(&[a; LANES], &b, approx, valid);
+            return;
+        }
+        let mut exact = [0u64; LANES];
+        let mut ed = [0u64; LANES];
+        let mut product = a * b0;
+        for i in 0..LANES {
+            exact[i] = product;
+            ed[i] = product.abs_diff(approx[i]);
+            // Wraps only past the last lane.
+            product = product.wrapping_add(a);
+        }
+        self.record_lanes(&ed, &exact, |i| (u128::from(a), u128::from(b0 + i as u64)));
+    }
+
+    /// [`ErrorAccumulator::record_block_i64`] for one full block of an
+    /// exhaustive signed row: lane `i` multiplied `a × (b_first + i)`.
+    pub(crate) fn record_signed_row_block(&mut self, a: i64, b_first: i64, approx: &[i64; LANES]) {
+        let b: [i64; LANES] = core::array::from_fn(|i| b_first + i as i64);
+        let bits = |x: i64| 64 - x.unsigned_abs().leading_zeros();
+        if bits(a) + bits(b_first).max(bits(b[LANES - 1])) > 63 {
+            self.record_block_i64(&[a; LANES], &b, approx, LANES);
+            return;
+        }
+        let mut magnitude = [0u64; LANES];
+        let mut ed = [0u64; LANES];
+        let mut product = a * b_first;
+        for i in 0..LANES {
+            magnitude[i] = product.unsigned_abs();
+            ed[i] = product.abs_diff(approx[i]);
+            // Wraps only past the last lane.
+            product = product.wrapping_add(a);
+        }
+        self.record_lanes(&ed, &magnitude, |i| {
+            (i128::from(a) as u128, i128::from(b[i]) as u128)
+        });
+    }
+
+    /// The signed twin of [`ErrorAccumulator::record_block_u64`]: lane `i`
+    /// multiplied `a[i] × b[i]` to `approx[i]`, recorded as by
+    /// [`ErrorAccumulator::record_i64`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `valid > 64`.
+    pub fn record_block_i64(
+        &mut self,
+        a: &[i64; LANES],
+        b: &[i64; LANES],
+        approx: &[i64; LANES],
+        valid: usize,
+    ) {
+        assert!(valid <= LANES, "a block holds at most {LANES} lanes");
+        let magnitude_or = |x: &[i64; LANES]| x.iter().fold(0, |acc, v| acc | v.unsigned_abs());
+        // |a·b| < 2^63, so every product fits i64.
+        let narrow = magnitude_or(a).leading_zeros() + magnitude_or(b).leading_zeros() >= 65;
+        if valid < LANES || !narrow {
+            for i in 0..valid {
+                self.record_i64(
+                    i128::from(a[i]) * i128::from(b[i]),
+                    i128::from(approx[i]),
+                    (a[i], b[i]),
+                );
+            }
+            return;
+        }
+        let mut magnitude = [0u64; LANES];
+        let mut ed = [0u64; LANES];
+        for i in 0..LANES {
+            let exact = a[i] * b[i];
+            magnitude[i] = exact.unsigned_abs();
+            ed[i] = exact.abs_diff(approx[i]);
+        }
+        self.record_lanes(&ed, &magnitude, |i| {
+            (i128::from(a[i]) as u128, i128::from(b[i]) as u128)
+        });
+    }
+
+    /// The shared lane-wise body of the block recorders: lane `i` has error
+    /// distance `ed[i]` against an exact product of magnitude
+    /// `magnitude[i]`.
+    fn record_lanes(
+        &mut self,
+        ed: &[u64; LANES],
+        magnitude: &[u64; LANES],
+        operands: impl Fn(usize) -> (u128, u128),
+    ) {
+        self.samples += LANES as u64;
+        // Below 2^52 both conversions to f64 can take the exact
+        // SIMD-friendly route, and 64 distances cannot overflow a u64 sum.
+        let small = (or_lanes(ed) | or_lanes(magnitude)) < 1 << 52;
+        let BlockStats {
+            red,
+            red_sq,
+            errors,
+            undefined,
+            ed_sum,
+        } = if small {
+            block_stats::<true>(ed, magnitude)
+        } else {
+            block_stats::<false>(ed, magnitude)
+        };
+        if errors == 0 {
+            return;
+        }
+        self.errors += errors;
+        self.undefined_red += undefined;
+        self.sum_ed.add(ed_sum);
+        // u64 → f64 is monotone, so the largest ED converts once.
+        self.max_ed = self.max_ed.max(max_lanes(ed) as f64);
+        self.sum_red.add_lanes(&red);
+        self.sum_red_sq.add_lanes(&red_sq);
+        let block_max = max_lanes(&red);
+        if block_max > 0.0 && block_max >= self.max_red {
+            let worst = (0..LANES)
+                .filter(|&i| red[i] == block_max)
+                .map(&operands)
+                .min()
+                .expect("some lane holds the block maximum");
+            self.offer_worst(block_max, worst);
+        }
     }
 
     /// Number of samples recorded so far.
@@ -171,18 +448,18 @@ impl ErrorAccumulator {
     }
 
     /// Combines a partial accumulator (e.g. from another thread) into this
-    /// one.
+    /// one. Exact: merging in any order or tree shape gives the same
+    /// result as recording every pair into one accumulator.
     pub fn merge(&mut self, other: &ErrorAccumulator) {
         self.samples += other.samples;
         self.errors += other.errors;
         self.undefined_red += other.undefined_red;
-        self.sum_ed += other.sum_ed;
-        self.sum_red += other.sum_red;
-        self.sum_red_sq += other.sum_red_sq;
+        self.sum_ed.merge(&other.sum_ed);
+        self.sum_red.merge(&other.sum_red);
+        self.sum_red_sq.merge(&other.sum_red_sq);
         self.max_ed = self.max_ed.max(other.max_ed);
-        if other.max_red > self.max_red {
-            self.max_red = other.max_red;
-            self.worst_red_operands = other.worst_red_operands;
+        if let Some(operands) = other.worst_red_operands {
+            self.offer_worst(other.max_red, operands);
         }
     }
 
@@ -215,10 +492,10 @@ impl ErrorAccumulator {
         assert!(!pmax.is_zero(), "Pmax must be positive");
         let n = self.samples as f64;
         let red_n = (self.samples - self.undefined_red) as f64;
-        let med = self.sum_ed / n;
+        let med = self.sum_ed.to_f64() / n;
         let error_rate = self.errors as f64 / n;
         let mred = if red_n > 0.0 {
-            self.sum_red / red_n
+            self.sum_red.sum() / red_n
         } else {
             0.0
         };
@@ -226,7 +503,7 @@ impl ErrorAccumulator {
         // too; they are then the finite-population values of a hypothetical
         // redraw, still useful as scale indicators).
         let mred_variance = if red_n > 1.0 {
-            ((self.sum_red_sq / red_n) - mred * mred).max(0.0)
+            ((self.sum_red_sq.sum() / red_n) - mred * mred).max(0.0)
         } else {
             0.0
         };
@@ -366,18 +643,49 @@ mod tests {
             b.record_u64(i * i, approx, (i as u64, i as u64));
             whole.record_u64(i * i, approx, (i as u64, i as u64));
         }
-        a.merge(&b);
         let pmax = U256::from_u64(99 * 99);
-        let merged = a.finish(pmax);
-        let sequential = whole.finish(pmax);
-        assert_eq!(merged.samples, sequential.samples);
-        assert_eq!(merged.error_rate, sequential.error_rate);
-        assert_eq!(merged.max_red, sequential.max_red);
-        assert_eq!(merged.max_ed, sequential.max_ed);
-        assert_eq!(merged.worst_red_operands, sequential.worst_red_operands);
-        // Sums are added in a different order; allow for float reassociation.
-        assert!((merged.mred - sequential.mred).abs() < 1e-12);
-        assert!((merged.nmed - sequential.nmed).abs() < 1e-12);
+        // Exact sums: merging in either direction equals one stream.
+        let mut ba = b.clone();
+        ba.merge(&a);
+        a.merge(&b);
+        assert_eq!(a.finish(pmax), whole.finish(pmax));
+        assert_eq!(ba.finish(pmax), whole.finish(pmax));
+    }
+
+    #[test]
+    fn row_blocks_match_per_pair_records() {
+        let pmax = U256::from_u128(u128::MAX);
+        // Rows whose products fit u64 take the stepping path; the last
+        // two overflow it and fall back to exact per-pair records.
+        for (a, b0) in [
+            (0u64, 0u64),
+            (77, 4096),
+            (0xFFFF_FFFF, 1 << 31),
+            (1 << 40, 1 << 30),
+        ] {
+            let approx: [u64; LANES] =
+                core::array::from_fn(|i| a.wrapping_mul(b0 + i as u64) ^ (i as u64 % 5));
+            let mut rows = ErrorAccumulator::new();
+            rows.record_row_block(a, b0, &approx, LANES);
+            let mut pairs = ErrorAccumulator::new();
+            for (i, &p) in approx.iter().enumerate() {
+                let b = b0 + i as u64;
+                pairs.record_u64(u128::from(a) * u128::from(b), u128::from(p), (a, b));
+            }
+            assert_eq!(rows.finish(pmax), pairs.finish(pmax), "a {a} b0 {b0}");
+        }
+        for (a, b_first) in [(-3i64, -64i64), (1 << 20, 1 << 30), (-(1 << 40), 1 << 30)] {
+            let approx: [i64; LANES] =
+                core::array::from_fn(|i| a.wrapping_mul(b_first + i as i64) ^ (i as i64 % 3));
+            let mut rows = ErrorAccumulator::new();
+            rows.record_signed_row_block(a, b_first, &approx);
+            let mut pairs = ErrorAccumulator::new();
+            for (i, &p) in approx.iter().enumerate() {
+                let b = b_first + i as i64;
+                pairs.record_i64(i128::from(a) * i128::from(b), i128::from(p), (a, b));
+            }
+            assert_eq!(rows.finish_signed(pmax), pairs.finish_signed(pmax), "a {a}");
+        }
     }
 
     #[test]
@@ -444,8 +752,9 @@ mod tests {
         assert!(!u.signed && s.signed);
         assert_eq!(s.samples, 4 * u.samples);
         assert_eq!(s.error_rate, u.error_rate);
-        assert!((s.mred - u.mred).abs() < 1e-15);
-        assert!((s.med - u.med).abs() < 1e-12);
+        // Four copies of each term: the exact sums scale by exactly 4.
+        assert_eq!(s.mred, u.mred);
+        assert_eq!(s.med, u.med);
         assert_eq!(s.max_red, u.max_red);
         assert_eq!(u.worst_red_operands_signed(), None);
         assert_eq!(s.worst_red_operands_signed(), Some((5, 20)));

@@ -19,14 +19,17 @@
 //!
 //! The sweeping drivers run on either [`Engine`]: the scalar per-pair
 //! path, or the bit-sliced 64-lane path of [`crate::batch`] that packs 64
-//! multiplications into word-wide boolean ops (~10–20× faster per core
-//! and bit-identical in its results).
+//! multiplications into word-wide boolean ops. [`ErrorAccumulator`] sums
+//! error distances as integers and RED/RED² in a [`Superaccumulator`], so
+//! the metrics are exact sums rounded once — bit-identical across
+//! engines, thread counts and recording order.
 
 mod analytic;
 mod evaluate;
 mod histogram;
 mod metrics;
 mod signed;
+mod superacc;
 
 pub use analytic::{
     adjacent_ones_profile, error_rate_depth2, mean_error_distance, normalized_mean_error_distance,
@@ -49,3 +52,4 @@ pub use signed::{
     sampled_signed_bitsliced, sampled_signed_bitsliced_with_threads, sampled_signed_with_engine,
     sampled_signed_with_threads,
 };
+pub use superacc::Superaccumulator;

@@ -9,10 +9,11 @@
 //!
 //! Pair order is the *pattern* order `0, 1, …, 2^N − 1` — i.e. the
 //! non-negative half first, then the negative half — which is exactly the
-//! unsigned drivers' order. That choice makes the scalar and bit-sliced
-//! signed engines bit-identical to each other (same chunking, same
-//! accumulation order) and keeps thread count out of the result, just
-//! like the unsigned drivers.
+//! unsigned drivers' order, and the worst-RED tie-break picks the first
+//! pair in it. The bit-sliced engines record each 64-lane block at once
+//! ([`ErrorAccumulator::record_block_i64`]); the accumulation is exact, so
+//! scalar and bit-sliced engines agree bit for bit at any thread count,
+//! just like the unsigned drivers.
 
 use sdlc_wideint::SplitMix64;
 
@@ -72,13 +73,17 @@ where
     let count: u64 = 1u64 << width;
     let partials = parallel_chunks(count, threads, |lo, hi| {
         let mut acc = ErrorAccumulator::new();
+        let mut approx = [0i64; LANES];
         for ua in lo..hi {
             let a = sign_extend(ua, width) as i64;
-            for ub in 0..count {
-                let b = sign_extend(ub, width) as i64;
-                let exact = i128::from(a) * i128::from(b);
-                let approx = multiplier.multiply_i64(a, b);
-                acc.record_i64(exact, approx, (a, b));
+            for b0 in (0..count).step_by(LANES) {
+                let valid = (count - b0).min(LANES as u64) as usize;
+                for (i, p) in approx.iter_mut().enumerate().take(valid) {
+                    let b = sign_extend(b0 + i as u64, width) as i64;
+                    // Products of models up to 16 bits fit an i64.
+                    *p = multiplier.multiply_i64(a, b) as i64;
+                }
+                record_signed_row(&mut acc, width, a, b0, &approx, valid);
             }
         }
         acc
@@ -111,9 +116,9 @@ where
 }
 
 /// Exhaustively evaluates every signed operand pair through the bit-sliced
-/// 64-lane engine — same sweep order, thread splitting and accumulation
-/// order as [`exhaustive_signed`], so the resulting [`ErrorMetrics`] are
-/// bit-identical, at a fraction of the cost.
+/// 64-lane engine, recording each block lane-wise; the resulting
+/// [`ErrorMetrics`] are bit-identical to [`exhaustive_signed`]'s, at a
+/// fraction of the cost.
 ///
 /// # Errors
 ///
@@ -193,9 +198,8 @@ where
     Ok(total.finish_signed(multiplier.max_product_magnitude()))
 }
 
-/// Feeds one exhaustive signed block into the accumulator: exact lanes in
-/// bulk, error lanes individually in ascending-lane (scalar) order, so
-/// float accumulation matches the scalar engine bit for bit.
+/// Feeds one exhaustive signed block — pattern row `ua`, column patterns
+/// `b0..b0 + valid` — into the accumulator, lane-wise.
 fn record_signed_block(
     acc: &mut ErrorAccumulator,
     width: u32,
@@ -204,23 +208,34 @@ fn record_signed_block(
     valid: usize,
     approx: &[u64; LANES],
 ) {
-    let a = sign_extend(ua, width) as i64;
-    let mut err_mask = 0u64;
-    for (i, &p) in approx.iter().enumerate().take(valid) {
-        let b = sign_extend(b0 + i as u64, width) as i64;
-        let exact = i128::from(a) * i128::from(b);
-        err_mask |= u64::from(sign_extend(p, 2 * width) != exact) << i;
-    }
-    acc.record_exact_many(valid as u64 - u64::from(err_mask.count_ones()));
-    while err_mask != 0 {
-        let i = err_mask.trailing_zeros() as u64;
-        err_mask &= err_mask - 1;
-        let b = sign_extend(b0 + i, width) as i64;
-        acc.record_i64(
-            i128::from(a) * i128::from(b),
-            sign_extend(approx[i as usize], 2 * width),
-            (a, b),
-        );
+    let approx: [i64; LANES] = core::array::from_fn(|i| sign_extend(approx[i], 2 * width) as i64);
+    record_signed_row(
+        acc,
+        width,
+        sign_extend(ua, width) as i64,
+        b0,
+        &approx,
+        valid,
+    );
+}
+
+/// Records `a × b` for the column patterns `b0..b0 + valid` of a signed
+/// row. From 7 bits on, blocks start 64-aligned on a side of the sign
+/// boundary 2^(N−1), so `b` steps by one per lane; the blocks of narrower
+/// widths straddle it and take explicit lanes.
+fn record_signed_row(
+    acc: &mut ErrorAccumulator,
+    width: u32,
+    a: i64,
+    b0: u64,
+    approx: &[i64; LANES],
+    valid: usize,
+) {
+    if valid == LANES && width >= 7 {
+        acc.record_signed_row_block(a, sign_extend(b0, width) as i64, approx);
+    } else {
+        let b: [i64; LANES] = core::array::from_fn(|i| sign_extend(b0 + i as u64, width) as i64);
+        acc.record_block_i64(&[a; LANES], &b, approx, valid);
     }
 }
 
@@ -275,16 +290,22 @@ where
     let shard_list: Vec<u64> = (0..SHARDS).collect();
     let partials = parallel_shard_chunks(&shard_list, threads, |shards| {
         let mut acc = ErrorAccumulator::new();
+        let (mut a, mut b, mut approx) = ([0i64; LANES], [0i64; LANES], [0i64; LANES]);
         for &shard in shards {
             let mut rng = SplitMix64::new(seed ^ (shard.wrapping_mul(0x9e37_79b9)));
             let begin = shard * per_shard;
             let end = (begin + per_shard).min(samples);
-            for _ in begin..end {
-                let a = sign_extend(rng.next_bits(width), width) as i64;
-                let b = sign_extend(rng.next_bits(width), width) as i64;
-                let exact = i128::from(a) * i128::from(b);
-                let approx = multiplier.multiply_i64(a, b);
-                acc.record_i64(exact, approx, (a, b));
+            let mut n = begin;
+            while n < end {
+                let valid = (end - n).min(LANES as u64) as usize;
+                for i in 0..valid {
+                    a[i] = sign_extend(rng.next_bits(width), width) as i64;
+                    b[i] = sign_extend(rng.next_bits(width), width) as i64;
+                    // Products of models up to 32 bits fit an i64.
+                    approx[i] = multiplier.multiply_i64(a[i], b[i]) as i64;
+                }
+                acc.record_block_i64(&a, &b, &approx, valid);
+                n += valid as u64;
             }
         }
         acc
@@ -297,8 +318,8 @@ where
 }
 
 /// [`sampled_signed`] dispatched on an [`Engine`]; for widths both
-/// engines accept, the draws, pair order and accumulation order are
-/// identical, so the metrics are bit-identical.
+/// engines accept, the draws are identical and the accumulation exact, so
+/// the metrics are bit-identical.
 ///
 /// # Errors
 ///
@@ -320,8 +341,8 @@ where
 }
 
 /// [`sampled_signed`] through the bit-sliced 64-lane engine: same
-/// SplitMix64 shard streams, same draw order, bit-identical
-/// [`ErrorMetrics`].
+/// SplitMix64 shard streams, each 64-draw block recorded lane-wise,
+/// bit-identical [`ErrorMetrics`].
 ///
 /// # Errors
 ///
@@ -371,11 +392,6 @@ where
     const SHARDS: u64 = 256;
     let per_shard = samples.div_ceil(SHARDS);
     let shard_list: Vec<u64> = (0..SHARDS).collect();
-    let mask = if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
     let partials = parallel_shard_chunks(&shard_list, threads, |shards| {
         let batch = multiplier.signed_batch_model();
         let mut acc = ErrorAccumulator::new();
@@ -405,24 +421,13 @@ where
                     &mut product[..2 * planes],
                 );
                 crate::batch::extract_product_lanes(&product[..2 * planes], &mut approx);
-                let mut err_mask = 0u64;
-                for i in 0..valid {
-                    let a = sign_extend(a_lanes[i] & mask, width);
-                    let b = sign_extend(b_lanes[i] & mask, width);
-                    err_mask |= u64::from(sign_extend(approx[i], 2 * width) != a * b) << i;
-                }
-                acc.record_exact_many(valid as u64 - u64::from(err_mask.count_ones()));
-                while err_mask != 0 {
-                    let i = err_mask.trailing_zeros() as usize;
-                    err_mask &= err_mask - 1;
-                    let a = sign_extend(a_lanes[i], width) as i64;
-                    let b = sign_extend(b_lanes[i], width) as i64;
-                    acc.record_i64(
-                        i128::from(a) * i128::from(b),
-                        sign_extend(approx[i], 2 * width),
-                        (a, b),
-                    );
-                }
+                let a: [i64; LANES] =
+                    core::array::from_fn(|i| sign_extend(a_lanes[i], width) as i64);
+                let b: [i64; LANES] =
+                    core::array::from_fn(|i| sign_extend(b_lanes[i], width) as i64);
+                let signed_approx: [i64; LANES] =
+                    core::array::from_fn(|i| sign_extend(approx[i], 2 * width) as i64);
+                acc.record_block_i64(&a, &b, &signed_approx, valid);
                 n += valid as u64;
             }
         }
@@ -454,11 +459,11 @@ mod tests {
     fn signed_sweep_equals_manual_unsigned_core_cross_check() {
         // Replay the exact sweep through the *unsigned* core by hand —
         // magnitudes in, signs re-applied — and demand bit-identical
-        // metrics from the signed driver (single-threaded on both sides
-        // so the accumulation order matches).
+        // metrics from the signed driver (accumulation is exact, so the
+        // driver's thread split does not matter).
         let inner = SdlcMultiplier::new(6, 2).unwrap();
         let m = SignMagnitude::new(inner.clone());
-        let metrics = exhaustive_signed_with_threads(&m, 1).unwrap();
+        let metrics = exhaustive_signed_with_threads(&m, 3).unwrap();
         let mut acc = ErrorAccumulator::new();
         for ua in 0..64u64 {
             for ub in 0..64u64 {
@@ -512,26 +517,18 @@ mod tests {
 
     #[test]
     fn thread_count_never_changes_results() {
-        // Chunk merges reassociate the float sums, so cross-thread-count
-        // agreement is exact on counts/maxima and within float noise on
-        // the means (same contract as the unsigned drivers).
-        let close = |one: &ErrorMetrics, many: &ErrorMetrics| {
-            assert_eq!(one.samples, many.samples);
-            assert_eq!(one.error_rate, many.error_rate);
-            assert_eq!(one.max_red, many.max_red);
-            assert_eq!(one.max_ed, many.max_ed);
-            assert_eq!(one.worst_red_operands, many.worst_red_operands);
-            assert!((one.mred - many.mred).abs() < 1e-15);
-            assert!((one.nmed - many.nmed).abs() < 1e-15);
-        };
         let m = signed_sdlc(6, 2).unwrap();
-        close(
-            &exhaustive_signed_with_threads(&m, 1).unwrap(),
-            &exhaustive_signed_with_threads(&m, 7).unwrap(),
+        assert_eq!(
+            exhaustive_signed_with_threads(&m, 1).unwrap(),
+            exhaustive_signed_with_threads(&m, 7).unwrap()
         );
-        close(
-            &sampled_signed_with_threads(&m, 9_000, 3, 1).unwrap(),
-            &sampled_signed_with_threads(&m, 9_000, 3, 5).unwrap(),
+        assert_eq!(
+            exhaustive_signed_bitsliced_with_threads(&m, 1).unwrap(),
+            exhaustive_signed_bitsliced_with_threads(&m, 7).unwrap()
+        );
+        assert_eq!(
+            sampled_signed_with_threads(&m, 9_000, 3, 1).unwrap(),
+            sampled_signed_with_threads(&m, 9_000, 3, 5).unwrap()
         );
     }
 

@@ -11,10 +11,14 @@
 //! `sdlc_wideint::bitplane` transpose machinery), and shards the operand
 //! space across scoped threads through the same
 //! [`parallel_chunks`](sdlc_wideint::parallel::parallel_chunks) splitter
-//! as the `sdlc-core` error drivers. Pair order, lane decoding order and
-//! chunk merge order all follow the scalar sweep, so the engines return
-//! bit-identical verdicts — including the *same first* counterexample —
-//! at a fraction of the cost (the differential suite proves it).
+//! as the `sdlc-core` error drivers. Operands up to 128 bits are packed as
+//! two 64-plane halves, and products up to 256 bits decode 64 planes at a
+//! time, so the compiled engine covers every multiplier the workspace
+//! builds; the scalar engine only runs when asked for. Pair order, lane
+//! decoding order and chunk merge order all follow the scalar sweep, so
+//! the engines return bit-identical verdicts — including the *same first*
+//! counterexample — at a fraction of the cost (the differential suite
+//! proves it).
 
 use core::fmt;
 
@@ -37,8 +41,7 @@ pub enum Engine {
     #[default]
     Scalar,
     /// 64 pairs per sweep through the compiled program, sharded across
-    /// threads. Needs operand and product buses of at most 64 bits; the
-    /// dispatchers fall back to scalar beyond that.
+    /// threads.
     Compiled,
 }
 
@@ -159,20 +162,19 @@ pub fn check_exhaustive_with_engine(
 ) -> Result<(), Box<Mismatch>> {
     match engine {
         Engine::Scalar => check_exhaustive(netlist, width, model),
-        Engine::Compiled if compiled_supports(netlist, width) => {
+        Engine::Compiled => {
             assert!(
                 width <= 16,
                 "exhaustive equivalence beyond 16 bits is impractical"
             );
             let count = 1u64 << width;
-            match exhaustive_walk_compiled(netlist, count, |a, b, got| {
+            match exhaustive_walk_compiled(netlist, width, count, |a, b, got| {
                 unsigned_check_pair(a, b, got, &model)
             }) {
                 Some(mismatch) => Err(mismatch),
                 None => Ok(()),
             }
         }
-        Engine::Compiled => check_exhaustive(netlist, width, model),
     }
 }
 
@@ -194,10 +196,8 @@ pub fn check_exhaustive_with_engine(
 ///
 /// # Panics
 ///
-/// Panics if `width > 16` (the sweep would not terminate reasonably);
-/// the scalar fallback additionally panics if the `p` bus exceeds 64
-/// bits (lane products must fit one `u64` — the compiled path falls
-/// back to scalar for such netlists and hits the same check).
+/// Panics if `width > 16` (the sweep would not terminate reasonably) or
+/// the `p` bus exceeds 64 bits (lane products must fit one `u64`).
 pub fn check_exhaustive_batched(
     netlist: &Netlist,
     width: u32,
@@ -225,10 +225,12 @@ pub fn check_exhaustive_batched(
         None
     };
     let found = match engine {
-        Engine::Compiled if compiled_supports(netlist, width) => {
-            exhaustive_walk_compiled_blocks(netlist, count, check_block)
+        Engine::Compiled => {
+            let p_len = netlist.bus("p").expect("output bus `p`").len();
+            assert!(p_len <= 64, "batched checks need products <= 64 bits");
+            exhaustive_walk_compiled_blocks(netlist, width, count, check_block)
         }
-        _ => {
+        Engine::Scalar => {
             // Scalar netlist walk, same block-model consumption order.
             let mut sim = LogicSim::new(netlist);
             let mut found = None;
@@ -297,8 +299,7 @@ pub fn check_sampled(
 
 /// [`check_sampled`] dispatched on an [`Engine`]: identical corner cases,
 /// identical seeded draws, identical pair order — bit-identical verdicts
-/// and first counterexamples. Operand widths beyond 64 bits fall back to
-/// the scalar engine.
+/// and first counterexamples.
 ///
 /// # Errors
 ///
@@ -312,37 +313,35 @@ pub fn check_sampled_with_engine(
     engine: Engine,
 ) -> Result<(), Box<Mismatch>> {
     match engine {
-        Engine::Compiled if compiled_supports(netlist, width) => {
-            let pairs: Vec<(u64, u64)> = sampled_pairs(width, samples, seed)
-                .map(|(a, b)| (a as u64, b as u64))
-                .collect();
-            match pairs_walk_compiled(netlist, &pairs, |a, b, got| {
+        Engine::Compiled => {
+            let pairs: Vec<(u128, u128)> = sampled_pairs(width, samples, seed).collect();
+            match pairs_walk_compiled(netlist, width, &pairs, |a, b, got| {
                 unsigned_check_pair(a, b, got, &model)
             }) {
                 Some(mismatch) => Err(mismatch),
                 None => Ok(()),
             }
         }
-        _ => check_sampled(netlist, width, samples, seed, model),
+        Engine::Scalar => check_sampled(netlist, width, samples, seed, model),
     }
 }
 
 /// One unsigned pair comparison of the compiled sweeps: the netlist's
 /// raw product lane against the model's [`U256`] product.
 fn unsigned_check_pair(
-    a: u64,
-    b: u64,
-    got: u64,
+    a: u128,
+    b: u128,
+    got: &U256,
     model: &impl Fn(u128, u128) -> U256,
 ) -> Option<Box<Mismatch>> {
-    let expect = model(u128::from(a), u128::from(b));
-    if expect.to_u128() == Some(u128::from(got)) {
+    let expect = model(a, b);
+    if expect == *got {
         None
     } else {
         Some(Box::new(Mismatch {
-            a: u128::from(a),
-            b: u128::from(b),
-            netlist_product: U256::from_u128(u128::from(got)),
+            a,
+            b,
+            netlist_product: *got,
             model_product: expect,
         }))
     }
@@ -404,22 +403,6 @@ fn check_one(
 // Compiled word-parallel sweeps.
 // ---------------------------------------------------------------------
 
-/// Whether the compiled fast path can drive this netlist at this operand
-/// width: the `a`/`b` operand buses and the `p` product bus must each fit
-/// one 64-lane plane stack, and the operand buses must be at least
-/// `width` bits so packed operands are never truncated. Checks beyond
-/// these bounds fall back to the scalar engine — which, for operands
-/// overflowing their bus, preserves the loud `ab_stimulus` panic instead
-/// of a silently truncated sweep.
-fn compiled_supports(netlist: &Netlist, width: u32) -> bool {
-    let operand_fits = |name: &str| {
-        netlist
-            .bus(name)
-            .is_some_and(|bus| (width as usize..=64).contains(&bus.len()))
-    };
-    operand_fits("a") && operand_fits("b") && netlist.bus("p").is_some_and(|bus| bus.len() <= 64)
-}
-
 /// Pre-resolved `a`/`b`/`p` port map for the compiled sweeps: stimulus
 /// slots are written straight from operand bit-planes, products read
 /// straight from the `p` nets.
@@ -427,16 +410,27 @@ struct AbPorts {
     /// Per primary input (netlist order): operand bus (false = `a`) and
     /// bit position within it.
     input_src: Vec<(bool, usize)>,
-    a_len: u32,
-    b_len: u32,
+    a_len: usize,
+    b_len: usize,
     p_nets: Vec<NetId>,
 }
 
 impl AbPorts {
-    fn of(netlist: &Netlist) -> Self {
+    /// Resolves the ports of a netlist swept with `width`-bit operands.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a bus is missing, the netlist has other inputs, an
+    /// operand bus is narrower than `width` (the operands would overflow
+    /// it, as [`ab_stimulus`] reports for the scalar engine) or the `p`
+    /// bus exceeds 256 bits.
+    fn of(netlist: &Netlist, width: u32) -> Self {
         let bus_a = netlist.bus("a").expect("input bus `a`");
         let bus_b = netlist.bus("b").expect("input bus `b`");
         let p_nets = netlist.bus("p").expect("output bus `p`").to_vec();
+        assert!(bus_a.len() >= width as usize, "operand a overflows bus");
+        assert!(bus_b.len() >= width as usize, "operand b overflows bus");
+        assert!(p_nets.len() <= 256, "products beyond 256 bits");
         assert_eq!(
             netlist.inputs().len(),
             bus_a.len() + bus_b.len(),
@@ -459,8 +453,8 @@ impl AbPorts {
             .collect();
         Self {
             input_src,
-            a_len: bus_a.len() as u32,
-            b_len: bus_b.len() as u32,
+            a_len: bus_a.len(),
+            b_len: bus_b.len(),
             p_nets,
         }
     }
@@ -471,8 +465,8 @@ impl AbPorts {
         }
     }
 
-    /// Decodes the 64 per-lane products from the `p` bus planes, using
-    /// the cheapest bitplane transpose that fits the product width.
+    /// Decodes the 64 per-lane products from a `p` bus of at most 64
+    /// bits, using the cheapest bitplane transpose that fits its width.
     fn product_lanes(&self, sim: &CompiledSim<'_>, out: &mut [u64; bitplane::LANES]) {
         let len = self.p_nets.len();
         if len <= 16 {
@@ -494,66 +488,128 @@ impl AbPorts {
                 *o = u64::from(l);
             }
         } else {
-            let mut planes = [0u64; bitplane::LANES];
-            for (plane, &net) in planes.iter_mut().zip(&self.p_nets) {
-                *plane = sim.plane(net);
-            }
-            *out = bitplane::transposed64(&planes);
+            self.product_chunk(sim, 0, out);
         }
+    }
+
+    /// Transposes `p` planes `64·chunk ..` (zero past the bus) into one
+    /// 64-bit limb per lane.
+    fn product_chunk(&self, sim: &CompiledSim<'_>, chunk: usize, out: &mut [u64; bitplane::LANES]) {
+        let mut planes = [0u64; bitplane::LANES];
+        let nets = self.p_nets.iter().skip(chunk * bitplane::LANES);
+        for (plane, &net) in planes.iter_mut().zip(nets) {
+            *plane = sim.plane(net);
+        }
+        *out = bitplane::transposed64(&planes);
+    }
+
+    /// Decodes the 64 per-lane products from a `p` bus of any supported
+    /// width (up to 256 bits), one 64-plane transpose per limb.
+    fn wide_product_lanes(&self, sim: &CompiledSim<'_>, out: &mut [U256; bitplane::LANES]) {
+        let len = self.p_nets.len();
+        let mut limb = [0u64; bitplane::LANES];
+        if len <= 64 {
+            self.product_lanes(sim, &mut limb);
+            for (o, &l) in out.iter_mut().zip(&limb) {
+                *o = U256::from_u64(l);
+            }
+            return;
+        }
+        for chunk in 0..len.div_ceil(bitplane::LANES) {
+            self.product_chunk(sim, chunk, &mut limb);
+            for (o, &l) in out.iter_mut().zip(&limb) {
+                o.limbs_mut()[chunk] = l;
+            }
+        }
+    }
+}
+
+/// Bit-planes of 64 lane operands for a bus of `len` bits: the low and
+/// high 64-bit halves each take one transpose (bits past 128 are zero).
+fn operand_planes(lanes: &[u128; bitplane::LANES], len: usize, out: &mut [u64]) {
+    let low = bitplane::transposed64(&core::array::from_fn(|i| lanes[i] as u64));
+    let high = if len > 64 {
+        bitplane::transposed64(&core::array::from_fn(|i| (lanes[i] >> 64) as u64))
+    } else {
+        [0u64; bitplane::LANES]
+    };
+    for (j, plane) in out.iter_mut().enumerate().take(len) {
+        *plane = match j {
+            0..=63 => low[j],
+            64..=127 => high[j - 64],
+            _ => 0,
+        };
     }
 }
 
 /// Sweeps the full `count × count` operand rectangle in row-major order,
 /// 64 consecutive `b` values per sweep, rows sharded across threads via
-/// the shared chunk splitter. `check_pair(a, b, netlist_product_lane)`
-/// is called in exact scalar order within each chunk; the first `Some`
+/// the shared chunk splitter. `check_pair(a, b, netlist_product)` is
+/// called in exact scalar order within each chunk; the first `Some`
 /// across chunks (merged in chunk order) is therefore the same
 /// counterexample the scalar engine reports.
 fn exhaustive_walk_compiled<E: Send>(
     netlist: &Netlist,
+    width: u32,
     count: u64,
-    check_pair: impl Fn(u64, u64, u64) -> Option<Box<E>> + Sync,
+    check_pair: impl Fn(u128, u128, &U256) -> Option<Box<E>> + Sync,
 ) -> Option<Box<E>> {
-    exhaustive_walk_compiled_blocks(netlist, count, |a, b0, valid, lanes| {
-        for (i, &got) in lanes.iter().enumerate().take(valid) {
-            if let Some(err) = check_pair(a, b0 + i as u64, got) {
-                return Some(err);
-            }
-        }
-        None
+    exhaustive_sweeps(netlist, width, count, |ports, sim, a, b0, valid| {
+        let mut lanes = [U256::ZERO; bitplane::LANES];
+        ports.wide_product_lanes(sim, &mut lanes);
+        (0..valid).find_map(|i| check_pair(u128::from(a), u128::from(b0 + i as u64), &lanes[i]))
     })
 }
 
-/// The block form of the compiled exhaustive sweep: `check_block(a, b0,
-/// valid, product_lanes)` receives one whole 64-lane block per call (lane
-/// `i` is the netlist's raw product for `(a, b0 + i)`; only the first
-/// `valid` lanes are meaningful). Blocks arrive in exact row-major scalar
-/// order within each chunk, chunks merge in order — same
-/// first-counterexample guarantee as the per-pair walk.
+/// The block form of the compiled exhaustive sweep for products of at
+/// most 64 bits: `check_block(a, b0, valid, product_lanes)` receives one
+/// whole 64-lane block per call (lane `i` is the netlist's raw product
+/// for `(a, b0 + i)`; only the first `valid` lanes are meaningful).
+/// Blocks arrive in exact row-major scalar order within each chunk,
+/// chunks merge in order — same first-counterexample guarantee as the
+/// per-pair walk.
 fn exhaustive_walk_compiled_blocks<E: Send>(
     netlist: &Netlist,
+    width: u32,
     count: u64,
     check_block: impl Fn(u64, u64, usize, &[u64; bitplane::LANES]) -> Option<Box<E>> + Sync,
 ) -> Option<Box<E>> {
+    exhaustive_sweeps(netlist, width, count, |ports, sim, a, b0, valid| {
+        let mut lanes = [0u64; bitplane::LANES];
+        ports.product_lanes(sim, &mut lanes);
+        check_block(a, b0, valid, &lanes)
+    })
+}
+
+/// The shared driver of the compiled exhaustive walks: evaluates every
+/// 64-lane sweep of the rectangle (rows sharded across threads) and hands
+/// the evaluated program to `visit(ports, sim, a, b0, valid)`, stopping a
+/// chunk at its first `Some`.
+fn exhaustive_sweeps<E: Send>(
+    netlist: &Netlist,
+    width: u32,
+    count: u64,
+    visit: impl Fn(&AbPorts, &CompiledSim<'_>, u64, u64, usize) -> Option<Box<E>> + Sync,
+) -> Option<Box<E>> {
+    let ports = AbPorts::of(netlist, width);
     let program = CompiledNetlist::compile(netlist);
-    let ports = AbPorts::of(netlist);
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // Exhaustive operands stay below 2^16: planes past 64 stay zero.
+    let (a_low, b_low) = (ports.a_len.min(64) as u32, ports.b_len.min(64) as u32);
     let partials = parallel_chunks(count, threads, |lo, hi| {
         let mut sim = CompiledSim::new(&program);
         let mut stimulus = vec![0u64; netlist.inputs().len()];
-        let mut a_planes = vec![0u64; ports.a_len as usize];
-        let mut b_planes = vec![0u64; ports.b_len as usize];
-        let mut lanes = [0u64; bitplane::LANES];
+        let mut a_planes = vec![0u64; ports.a_len];
+        let mut b_planes = vec![0u64; ports.b_len];
         for a in lo..hi {
-            bitplane::broadcast_planes(a, ports.a_len, &mut a_planes);
+            bitplane::broadcast_planes(a, a_low, &mut a_planes);
             let mut b0 = 0u64;
             while b0 < count {
-                bitplane::counter_planes(b0, ports.b_len, &mut b_planes);
+                bitplane::counter_planes(b0, b_low, &mut b_planes);
                 ports.fill_stimulus(&a_planes, &b_planes, &mut stimulus);
                 sim.evaluate(&stimulus);
-                ports.product_lanes(&sim, &mut lanes);
                 let valid = (count - b0).min(bitplane::LANES as u64) as usize;
-                if let Some(err) = check_block(a, b0, valid, &lanes) {
+                if let Some(err) = visit(&ports, &sim, a, b0, valid) {
                     return Some(err);
                 }
                 b0 += bitplane::LANES as u64;
@@ -569,37 +625,36 @@ fn exhaustive_walk_compiled_blocks<E: Send>(
 /// order, so the first `Some` matches the scalar engine's.
 fn pairs_walk_compiled<E: Send>(
     netlist: &Netlist,
-    pairs: &[(u64, u64)],
-    check_pair: impl Fn(u64, u64, u64) -> Option<Box<E>> + Sync,
+    width: u32,
+    pairs: &[(u128, u128)],
+    check_pair: impl Fn(u128, u128, &U256) -> Option<Box<E>> + Sync,
 ) -> Option<Box<E>> {
+    let ports = AbPorts::of(netlist, width);
     let program = CompiledNetlist::compile(netlist);
-    let ports = AbPorts::of(netlist);
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let blocks = pairs.len().div_ceil(bitplane::LANES) as u64;
     let partials = parallel_chunks(blocks, threads, |lo, hi| {
         let mut sim = CompiledSim::new(&program);
         let mut stimulus = vec![0u64; netlist.inputs().len()];
-        let mut lanes = [0u64; bitplane::LANES];
+        let mut a_planes = vec![0u64; ports.a_len];
+        let mut b_planes = vec![0u64; ports.b_len];
+        let mut lanes = [U256::ZERO; bitplane::LANES];
         for block in lo..hi {
             let base = block as usize * bitplane::LANES;
             let chunk = &pairs[base..pairs.len().min(base + bitplane::LANES)];
-            let mut a_lanes = [0u64; bitplane::LANES];
-            let mut b_lanes = [0u64; bitplane::LANES];
+            let mut a_lanes = [0u128; bitplane::LANES];
+            let mut b_lanes = [0u128; bitplane::LANES];
             for (i, &(a, b)) in chunk.iter().enumerate() {
                 a_lanes[i] = a;
                 b_lanes[i] = b;
             }
-            let a_planes = bitplane::transposed64(&a_lanes);
-            let b_planes = bitplane::transposed64(&b_lanes);
-            ports.fill_stimulus(
-                &a_planes[..ports.a_len as usize],
-                &b_planes[..ports.b_len as usize],
-                &mut stimulus,
-            );
+            operand_planes(&a_lanes, ports.a_len, &mut a_planes);
+            operand_planes(&b_lanes, ports.b_len, &mut b_planes);
+            ports.fill_stimulus(&a_planes, &b_planes, &mut stimulus);
             sim.evaluate(&stimulus);
-            ports.product_lanes(&sim, &mut lanes);
+            ports.wide_product_lanes(&sim, &mut lanes);
             for (i, &(a, b)) in chunk.iter().enumerate() {
-                if let Some(err) = check_pair(a, b, lanes[i]) {
+                if let Some(err) = check_pair(a, b, &lanes[i]) {
                     return Some(err);
                 }
             }
@@ -692,20 +747,19 @@ pub fn check_exhaustive_signed_with_engine(
 ) -> Result<(), Box<SignedMismatch>> {
     match engine {
         Engine::Scalar => check_exhaustive_signed(netlist, width, model),
-        Engine::Compiled if compiled_supports(netlist, width) => {
+        Engine::Compiled => {
             assert!(
                 width <= 16,
                 "exhaustive equivalence beyond 16 bits is impractical"
             );
             let count = 1u64 << width;
-            match exhaustive_walk_compiled(netlist, count, |ua, ub, got| {
+            match exhaustive_walk_compiled(netlist, width, count, |ua, ub, got| {
                 signed_check_pair(width, ua, ub, got, &model)
             }) {
                 Some(mismatch) => Err(mismatch),
                 None => Ok(()),
             }
         }
-        Engine::Compiled => check_exhaustive_signed(netlist, width, model),
     }
 }
 
@@ -731,8 +785,7 @@ pub fn check_sampled_signed(
 
 /// [`check_sampled_signed`] dispatched on an [`Engine`]: identical
 /// corner patterns, identical seeded draws, bit-identical verdicts and
-/// first counterexamples. Operand widths beyond 64 bits fall back to the
-/// scalar engine.
+/// first counterexamples.
 ///
 /// # Errors
 ///
@@ -746,18 +799,17 @@ pub fn check_sampled_signed_with_engine(
     engine: Engine,
 ) -> Result<(), Box<SignedMismatch>> {
     match engine {
-        Engine::Compiled if compiled_supports(netlist, width) => {
-            let patterns: Vec<(u64, u64)> = sampled_signed_patterns(width, samples, seed)
-                .map(|(ua, ub)| (ua as u64, ub as u64))
-                .collect();
-            match pairs_walk_compiled(netlist, &patterns, |ua, ub, got| {
+        Engine::Compiled => {
+            let patterns: Vec<(u128, u128)> =
+                sampled_signed_patterns(width, samples, seed).collect();
+            match pairs_walk_compiled(netlist, width, &patterns, |ua, ub, got| {
                 signed_check_pair(width, ua, ub, got, &model)
             }) {
                 Some(mismatch) => Err(mismatch),
                 None => Ok(()),
             }
         }
-        _ => check_sampled_signed(netlist, width, samples, seed, model),
+        Engine::Scalar => check_sampled_signed(netlist, width, samples, seed, model),
     }
 }
 
@@ -793,16 +845,13 @@ fn sampled_signed_patterns(
 /// product lane exactly like the scalar engine decodes the `p` bus.
 fn signed_check_pair(
     width: u32,
-    ua: u64,
-    ub: u64,
-    got_raw: u64,
+    ua: u128,
+    ub: u128,
+    got_raw: &U256,
     model: &impl Fn(i128, i128) -> I256,
 ) -> Option<Box<SignedMismatch>> {
-    let got = I256::from_twos_complement(&U256::from_u128(u128::from(got_raw)), 2 * width);
-    let (a, b) = (
-        sign_extend(u128::from(ua), width),
-        sign_extend(u128::from(ub), width),
-    );
+    let got = I256::from_twos_complement(got_raw, 2 * width);
+    let (a, b) = (sign_extend(ua, width), sign_extend(ub, width));
     let expect = model(a, b);
     if got == expect {
         None
@@ -903,6 +952,31 @@ mod tests {
     }
 
     #[test]
+    fn compiled_sweeps_cover_operands_past_64_bits() {
+        // 70-bit operands take two transposes each and the 140-bit
+        // product three limbs; both engines agree on pass and on the
+        // first failure.
+        let n = wallace_multiplier(70);
+        let exact = |a: u128, b: u128| U256::from_u128(a).wrapping_mul(&U256::from_u128(b));
+        for engine in [Engine::Scalar, Engine::Compiled] {
+            check_sampled_with_engine(&n, 70, 40, 8, exact, engine).unwrap();
+        }
+        let wrong = |a: u128, b: u128| {
+            let p = exact(a, b);
+            if a >> 68 == 3 {
+                p ^ (U256::ONE << 130)
+            } else {
+                p
+            }
+        };
+        let scalar = check_sampled_with_engine(&n, 70, 40, 8, wrong, Engine::Scalar).unwrap_err();
+        let compiled =
+            check_sampled_with_engine(&n, 70, 40, 8, wrong, Engine::Compiled).unwrap_err();
+        assert_eq!(scalar, compiled);
+        assert_eq!(scalar.a >> 68, 3);
+    }
+
+    #[test]
     fn batched_checks_match_per_pair_checks() {
         let n = wallace_multiplier(4);
         let exact_block = |a: u64, b0: u64, out: &mut [u64; bitplane::LANES]| {
@@ -958,7 +1032,7 @@ mod tests {
     #[should_panic(expected = "overflows bus")]
     fn compiled_engine_preserves_the_operand_overflow_panic() {
         // Operands wider than the netlist's buses must fail loudly on
-        // BOTH engines (the compiled path falls back to scalar rather
+        // BOTH engines (the compiled path checks the bus widths rather
         // than silently truncating the packed operands).
         let n = wallace_multiplier(4);
         let _ = check_sampled_with_engine(

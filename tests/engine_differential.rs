@@ -13,7 +13,8 @@ use sdlc::core::{Multiplier, SdlcMultiplier, SignMagnitude, SignedMultiplier};
 use sdlc::netlist::Netlist;
 use sdlc::sim::activity::random_activity_with_engine;
 use sdlc::sim::equiv::{
-    check_exhaustive_signed_with_engine, check_exhaustive_with_engine, check_sampled_with_engine,
+    check_exhaustive_signed_with_engine, check_exhaustive_with_engine,
+    check_sampled_signed_with_engine, check_sampled_with_engine,
 };
 use sdlc::sim::{BitParallelSim, CompiledNetlist, CompiledSim, Engine, LogicSim};
 use sdlc::wideint::{SplitMix64, U256};
@@ -215,4 +216,88 @@ fn sampled_verdicts_match_on_wide_designs() {
         check_sampled_with_engine(&netlist, 16, 200, 5, |a, b| model.multiply(a, b), engine)
             .unwrap_or_else(|e| panic!("{engine}: {e}"));
     }
+}
+
+const WIDE_SCHEMES: [ReductionScheme; 4] = [
+    ReductionScheme::RippleRows,
+    ReductionScheme::CarrySaveArray,
+    ReductionScheme::Wallace,
+    ReductionScheme::Dadda,
+];
+
+/// 64-bit designs have 128-bit product buses, which the compiled engine
+/// decodes as two 64-plane halves: every scheme, unsigned and signed,
+/// passes on both engines over the same sampled sequence.
+#[test]
+fn wide_product_buses_pass_on_both_engines() {
+    let model = SdlcMultiplier::new(64, 4).unwrap();
+    let signed_model = SignMagnitude::new(model.clone());
+    for scheme in WIDE_SCHEMES {
+        let netlist = sdlc_multiplier(&model, scheme);
+        assert_eq!(netlist.bus("p").unwrap().len(), 128);
+        let signed_netlist = signed_multiplier(&netlist, 64);
+        for engine in [Engine::Scalar, Engine::Compiled] {
+            check_sampled_with_engine(&netlist, 64, 120, 3, |a, b| model.multiply(a, b), engine)
+                .unwrap_or_else(|e| panic!("{scheme:?} {engine}: {e}"));
+            check_sampled_signed_with_engine(
+                &signed_netlist,
+                64,
+                120,
+                3,
+                |a, b| signed_model.multiply_signed(a, b),
+                engine,
+            )
+            .unwrap_or_else(|e| panic!("signed {scheme:?} {engine}: {e}"));
+        }
+    }
+}
+
+/// Plants a netlist bug in the upper half of a 128-bit product bus: bit
+/// `bit` of `p` is flipped whenever `a[63] & b[62] & !b[63]`, which no
+/// corner pair triggers, so the first failure is a seeded draw.
+fn plant_high_product_bug(netlist: &Netlist, bit: usize) -> Netlist {
+    let mut n = netlist.clone();
+    let (a, b) = (n.bus("a").unwrap().to_vec(), n.bus("b").unwrap().to_vec());
+    let mut p = n.bus("p").unwrap().to_vec();
+    let not_b63 = n.not(b[63]);
+    let gate = n.and2(a[63], b[62]);
+    let trigger = n.and2(gate, not_b63);
+    p[bit] = n.xor2(p[bit], trigger);
+    n.set_output_bus("p", p);
+    n
+}
+
+/// A planted bug in the high product limb of a 64-bit netlist surfaces
+/// as the *same first* counterexample on both engines, unsigned and
+/// signed.
+#[test]
+fn planted_wide_bug_yields_identical_first_counterexample() {
+    let model = SdlcMultiplier::new(64, 4).unwrap();
+    let netlist = plant_high_product_bug(&sdlc_multiplier(&model, ReductionScheme::Dadda), 100);
+    let reference = |a: u128, b: u128| model.multiply(a, b);
+    let scalar =
+        check_sampled_with_engine(&netlist, 64, 200, 11, reference, Engine::Scalar).unwrap_err();
+    let compiled =
+        check_sampled_with_engine(&netlist, 64, 200, 11, reference, Engine::Compiled).unwrap_err();
+    assert_eq!(scalar, compiled);
+    assert!(scalar.a >> 63 == 1 && (scalar.b >> 62) & 3 == 1, "{scalar}");
+    assert_eq!(
+        (scalar.netlist_product ^ scalar.model_product),
+        U256::ONE << 100
+    );
+
+    let signed_model = SignMagnitude::new(model.clone());
+    let signed_netlist = plant_high_product_bug(
+        &signed_multiplier(&sdlc_multiplier(&model, ReductionScheme::Wallace), 64),
+        127,
+    );
+    let reference = |a: i128, b: i128| signed_model.multiply_signed(a, b);
+    let scalar =
+        check_sampled_signed_with_engine(&signed_netlist, 64, 200, 5, reference, Engine::Scalar)
+            .unwrap_err();
+    let compiled =
+        check_sampled_signed_with_engine(&signed_netlist, 64, 200, 5, reference, Engine::Compiled)
+            .unwrap_err();
+    assert_eq!(scalar, compiled);
+    assert!(scalar.a < 0 && scalar.b >= 1 << 62, "{scalar}");
 }
