@@ -10,16 +10,27 @@
 //! verdicts (and toggle totals) are asserted identical along the way, so
 //! the bench doubles as a coarse differential test.
 //!
+//! The last section times the path `sdlc-cli verify --width 12 --scheme
+//! all` takes — the batched exhaustive check of 12-bit SDLC d2, 2^24
+//! pairs per scheme — on one CPU, reporting ns per 64-lane sweep, pairs/s
+//! and the speedup over the 64-lane-per-dispatch sweep it replaced. On a
+//! multi-core machine the harness re-runs itself under `taskset -c 0` for
+//! that section, so the sweep's thread count is 1.
+//!
 //! `SDLC_FAST=1` drops the 10-bit scalar sweep (the slow tail).
 
+use std::process::Command;
 use std::time::Instant;
 
 use sdlc_bench::{banner, fast_mode};
+use sdlc_core::batch::exhaustive_block;
 use sdlc_core::circuits::{accurate_multiplier, sdlc_multiplier, ReductionScheme};
-use sdlc_core::{Multiplier, SdlcMultiplier};
+use sdlc_core::{Batchable, Multiplier, SdlcMultiplier};
 use sdlc_netlist::Netlist;
 use sdlc_sim::activity::random_activity_with_engine;
-use sdlc_sim::equiv::{check_exhaustive_with_engine, check_sampled_with_engine};
+use sdlc_sim::equiv::{
+    check_exhaustive_batched, check_exhaustive_with_engine, check_sampled_with_engine,
+};
 use sdlc_sim::Engine;
 use sdlc_wideint::U256;
 
@@ -55,7 +66,60 @@ fn designs(width: u32) -> Vec<(String, Netlist, Model)> {
     out
 }
 
+/// Set in the child process that runs the single-CPU verify section.
+const PINNED_ENV: &str = "SDLC_EQUIV_PINNED";
+
+/// The CLI's four `--scheme all` reduction trees, with the ns per 64-lane
+/// sweep the 64-lane-per-dispatch compiled engine took on each: median of
+/// 5 single-CPU runs of this section (each the best of 3) on the 2-core
+/// x86-64 reference box.
+const VERIFY12_SCHEMES: [(ReductionScheme, f64); 4] = [
+    (ReductionScheme::RippleRows, 2388.0),
+    (ReductionScheme::CarrySaveArray, 2719.8),
+    (ReductionScheme::Wallace, 2352.4),
+    (ReductionScheme::Dadda, 2213.9),
+];
+
+/// `sdlc-cli verify --width 12 --scheme all`'s checks, timed one scheme at
+/// a time (best of 3) on however many CPUs this process may use.
+fn verify12_rows() {
+    let model = SdlcMultiplier::new(12, 2).expect("12-bit SDLC d2");
+    let batch = model.batch_model();
+    let pairs = 1u64 << 24;
+    let sweeps = pairs / 64;
+    for (scheme, replaced_ns) in VERIFY12_SCHEMES {
+        let netlist = sdlc_multiplier(&model, scheme);
+        let t = (0..3)
+            .map(|_| {
+                let (verdict, t) = timed(|| {
+                    check_exhaustive_batched(
+                        &netlist,
+                        12,
+                        |a, b0, out| exhaustive_block(&batch, a, b0, out),
+                        Engine::Compiled,
+                    )
+                });
+                verdict.expect("generators match their models");
+                t
+            })
+            .fold(f64::INFINITY, f64::min);
+        let ns = t * 1e9 / sweeps as f64;
+        println!(
+            "  {:<9} {:>7.3} s  {ns:>6.1} ns/sweep  {:>6.1} Mpairs/s  \
+             speedup {:>4.2}x over {replaced_ns:.1} ns/sweep",
+            scheme.tag(),
+            t,
+            pairs as f64 / t / 1e6,
+            replaced_ns / ns,
+        );
+    }
+}
+
 fn main() {
+    if std::env::var_os(PINNED_ENV).is_some() {
+        verify12_rows();
+        return;
+    }
     banner(
         "Equivalence & activity throughput: scalar vs compiled gate engine",
         "engineering benchmark (no paper counterpart)",
@@ -136,6 +200,24 @@ fn main() {
                 vectors as f64 / t_compiled / 1e6,
                 t_structural / t_compiled,
             );
+        }
+    }
+
+    println!("\n== sdlc-cli verify --width 12 --scheme all: batched exhaustive, one CPU ==");
+    if cores == 1 {
+        verify12_rows();
+    } else {
+        let pinned = std::env::current_exe().and_then(|exe| {
+            Command::new("taskset")
+                .args(["-c", "0"])
+                .arg(exe)
+                .env(PINNED_ENV, "1")
+                .status()
+        });
+        match pinned {
+            Ok(status) if status.success() => {}
+            Ok(status) => panic!("single-CPU verify section failed: {status}"),
+            Err(e) => println!("  skipped: cannot pin one CPU with `taskset` ({e})"),
         }
     }
 }

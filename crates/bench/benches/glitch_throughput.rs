@@ -1,8 +1,6 @@
 //! Glitch-engine throughput: scalar event-driven `TimingSim` vs the
-//! compiled word-parallel `GlitchSim`, plus levelized intra-netlist
-//! scaling of the zero-delay compiled engine — the performance budget
-//! that stops `glitch_power` from being the slow tail of `sdlc-cli
-//! synth`.
+//! compiled word-parallel `GlitchSim` — the performance budget that
+//! stops `glitch_power` from being the slow tail of `sdlc-cli synth`.
 //!
 //! Section 1 drives 8/12/16-bit SDLC and accurate multipliers through
 //! both timing engines on ONE thread each (the compiled engine's 64-lane
@@ -16,11 +14,6 @@
 //! thread, reporting ns per transition for both engines and the speedup
 //! over the event-wheel engine this waveform pass replaced.
 //!
-//! Section 3 evaluates one 32-bit multiplier netlist — a single large
-//! program whose activity sweeps are inherently serial — through the
-//! levelized executor at 1/2/4 threads, asserting identical toggle
-//! totals and (on machines with ≥ 4 cores) a >1.5× speedup at 4 threads.
-//!
 //! `SDLC_FAST=1` shrinks the vector budgets and skips the assertions.
 
 use std::time::Instant;
@@ -29,7 +22,7 @@ use sdlc_bench::{banner, fast_mode};
 use sdlc_core::circuits::{accurate_multiplier, sdlc_multiplier, ReductionScheme};
 use sdlc_core::SdlcMultiplier;
 use sdlc_netlist::Netlist;
-use sdlc_sim::{ab_stimulus, CompiledNetlist, GlitchSim, TimedProgram, TimingSim};
+use sdlc_sim::{ab_stimulus, GlitchSim, TimedProgram, TimingSim};
 use sdlc_techlib::Library;
 use sdlc_wideint::SplitMix64;
 
@@ -181,63 +174,4 @@ fn main() {
          box; waveform pass speedup {:.1}x",
         WHEEL_NS_PER_TRANSITION / compiled_ns
     );
-
-    println!("\n== levelized intra-netlist threading (32-bit multiplier, serial sweeps) ==");
-    let netlist = accurate_multiplier(32, ReductionScheme::Wallace).expect("32-bit");
-    let program = CompiledNetlist::compile(&netlist);
-    let words: usize = if fast_mode() { 96 } else { 512 };
-    let inputs = netlist.inputs().len();
-    let mut rng = SplitMix64::new(0x32B);
-    let stream: Vec<Vec<u64>> = (0..words)
-        .map(|_| (0..inputs).map(|_| rng.next_u64()).collect())
-        .collect();
-    println!(
-        "  program: {} ops over {} levels ({} words x 64 lanes per run)",
-        program.op_count(),
-        program.max_level(),
-        words
-    );
-    let mut reference: Option<Vec<u64>> = None;
-    let mut single = 0.0f64;
-    let mut at4: Option<f64> = None;
-    for threads in [1usize, 2, 4] {
-        if threads > cores.max(1) && threads > 4 {
-            continue;
-        }
-        let (toggles, t) = timed(|| {
-            program.run_leveled(threads, |sim| {
-                for word in &stream {
-                    sim.apply(word);
-                }
-                sim.toggles_per_net()
-            })
-        });
-        match &reference {
-            None => {
-                reference = Some(toggles);
-                single = t;
-            }
-            Some(reference) => {
-                assert_eq!(&toggles, reference, "toggles diverge at {threads} threads");
-            }
-        }
-        let speedup = single / t;
-        if threads == 4 {
-            at4 = Some(speedup);
-        }
-        println!(
-            "  {threads} thread(s): {:>7.2} Mvec/s  speedup {speedup:>5.2}x",
-            (words * 64) as f64 / t / 1e6,
-        );
-    }
-    if let Some(speedup) = at4 {
-        println!(
-            "\n  levelized sharding at 4 threads: {speedup:.2}x \
-             (acceptance floor: 1.5x on machines with >= 4 cores)"
-        );
-        assert!(
-            fast_mode() || cores < 4 || speedup > 1.5,
-            "levelized sharding regressed below the 1.5x floor: {speedup:.2}x on {cores} cores"
-        );
-    }
 }

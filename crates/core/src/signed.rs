@@ -12,7 +12,7 @@
 //! unsigned design carries over symmetrically in every quadrant.
 //!
 //! The adapter accepts any unsigned model — [`AccurateMultiplier`], every
-//! [`SdlcMultiplier`](crate::SdlcMultiplier) variant and depth schedule,
+//! [`SdlcMultiplier`] variant and depth schedule,
 //! and the truncated/Kulkarni/ETM baselines — and has a bit-sliced twin
 //! ([`crate::batch::BatchSignMagnitude`]) plus a gate-level counterpart
 //! ([`crate::circuits::signed_multiplier`]).
@@ -28,7 +28,7 @@ use crate::sdlc::SdlcMultiplier;
 ///
 /// # Panics
 ///
-/// Panics if `width` is 0 or exceeds [`MAX_WIDTH`].
+/// Panics if `width` is 0 or exceeds 128 bits.
 #[must_use]
 pub fn signed_operand_range(width: u32) -> (i128, i128) {
     assert!(

@@ -28,11 +28,7 @@
 //!
 //! Every fold preserves the boolean function of each net, so the per-net
 //! value stream — and therefore the per-net toggle count — is bit-identical
-//! to the structural engines' (the differential suite proves it). The
-//! program also records each op's **topological level** (1 + the maximum
-//! level of its sources; inputs and constants are level 0), which is what
-//! the levelized intra-netlist executor in [`crate::leveled`] shards
-//! across worker threads.
+//! to the structural engines' (the differential suite proves it).
 //!
 //! The executor, [`CompiledSim`], evaluates 64 independent vectors per
 //! sweep exactly like [`crate::BitParallelSim`] — lane `i` of every value
@@ -41,6 +37,13 @@
 //! structs. [`CompiledSim::apply`] keeps the same lane-wise toggle
 //! accounting; [`CompiledSim::evaluate`] skips it for equivalence sweeps
 //! where only final values matter.
+//!
+//! One interpreter body serves every sweep width: `CompiledSim<'_, W>`
+//! holds `W` words (64·`W` lanes) per value slot, so the opcode match and
+//! the four index loads of each op are paid once per `W` words. The
+//! default `W = 1` is the 64-lane, toggle-counting instance that activity
+//! estimation streams through; the equivalence sweeps in [`crate::equiv`]
+//! run a wider instance (see [`CompiledSim::wide`]).
 
 use std::collections::HashMap;
 
@@ -230,9 +233,6 @@ pub struct CompiledNetlist {
     pub(crate) src1: Vec<u32>,
     pub(crate) src2: Vec<u32>,
     pub(crate) dst: Vec<u32>,
-    /// Topological level per op: 1 + max level of its source slots
-    /// (inputs and constants are level 0).
-    pub(crate) level: Vec<u32>,
     /// Net index → value-slot index (aliased for folded gates).
     slot_of_net: Vec<u32>,
     /// Slot per primary input, in declaration order.
@@ -252,14 +252,13 @@ impl CompiledNetlist {
     pub fn compile(netlist: &Netlist) -> Self {
         let mut slot_of_net = vec![u32::MAX; netlist.net_count()];
         let mut input_slots = Vec::with_capacity(netlist.inputs().len());
-        // Slots 0/1 are the folded constants; both sit at level 0.
-        let mut slot_level: Vec<u32> = vec![0, 0];
+        // Slots 0/1 are the folded constants.
+        let mut slot_count: u32 = 2;
         let mut code = Vec::new();
         let mut src0 = Vec::new();
         let mut src1 = Vec::new();
         let mut src2 = Vec::new();
         let mut dst = Vec::new();
-        let mut level = Vec::new();
         let mut shared: HashMap<(OpCode, u32, u32, u32), u32> = HashMap::new();
         let mut not_source: HashMap<u32, u32> = HashMap::new();
         let slot = |table: &[u32], net: NetId| -> u32 {
@@ -271,10 +270,9 @@ impl CompiledNetlist {
             let out = gate.output.index();
             match gate.kind {
                 GateKind::Input => {
-                    let s = slot_level.len() as u32;
-                    slot_of_net[out] = s;
-                    input_slots.push(s);
-                    slot_level.push(0);
+                    slot_of_net[out] = slot_count;
+                    input_slots.push(slot_count);
+                    slot_count += 1;
                 }
                 GateKind::Const0 => slot_of_net[out] = SLOT_CONST0,
                 GateKind::Const1 => slot_of_net[out] = SLOT_CONST1,
@@ -315,17 +313,13 @@ impl CompiledNetlist {
                                 slot_of_net[out] = existing;
                                 continue;
                             }
-                            let d = slot_level.len() as u32;
+                            let d = slot_count;
+                            slot_count += 1;
                             code.push(opcode);
                             src0.push(a);
                             src1.push(b);
                             src2.push(c);
                             dst.push(d);
-                            let op_level = 1 + slot_level[a as usize]
-                                .max(slot_level[b as usize])
-                                .max(slot_level[c as usize]);
-                            level.push(op_level);
-                            slot_level.push(op_level);
                             shared.insert((opcode, a, b, c), d);
                             if opcode == OpCode::Not {
                                 not_source.insert(d, a);
@@ -342,10 +336,9 @@ impl CompiledNetlist {
             src1,
             src2,
             dst,
-            level,
             slot_of_net,
             input_slots,
-            slot_count: slot_level.len(),
+            slot_count: slot_count as usize,
         }
     }
 
@@ -383,21 +376,6 @@ impl CompiledNetlist {
         self.slot_of_net.len()
     }
 
-    /// Topological level of each op, in program order (1 + the maximum
-    /// level of its sources; inputs and constants are level 0). Ops on the
-    /// same level are mutually independent — the levelized executor's
-    /// sharding invariant.
-    #[must_use]
-    pub fn op_levels(&self) -> &[u32] {
-        &self.level
-    }
-
-    /// Deepest op level (0 for a program with no ops).
-    #[must_use]
-    pub fn max_level(&self) -> u32 {
-        self.level.iter().copied().max().unwrap_or(0)
-    }
-
     /// Scatters per-slot toggle counts back to the source netlist's net
     /// indexing (folded nets report their alias target's count, which
     /// equals what the structural engines count for them: every fold
@@ -419,76 +397,31 @@ impl CompiledNetlist {
     }
 }
 
-/// 64-lane executor over a [`CompiledNetlist`] program.
+/// Executor over a [`CompiledNetlist`] program, `W` words (64·`W` lanes)
+/// per value slot.
 ///
 /// Each instance owns only its value (and toggle) arrays; the program is
 /// shared by reference, so spawning one executor per worker thread is
-/// cheap.
+/// cheap. The default `W = 1` is the 64-lane engine: lane `i` of every
+/// value word is stimulus stream `i`, and [`CompiledSim::apply`] counts
+/// toggles between consecutive words. Wider instances
+/// ([`CompiledSim::wide`]) only [`evaluate`](CompiledSim::evaluate): they
+/// settle `W` independent 64-lane words per op dispatch, the equivalence
+/// sweeps' fast path.
 #[derive(Debug, Clone)]
-pub struct CompiledSim<'p> {
+pub struct CompiledSim<'p, const W: usize = 1> {
     program: &'p CompiledNetlist,
-    values: Vec<u64>,
+    values: Vec<[u64; W]>,
     toggles: Vec<u64>,
     words_applied: u64,
 }
 
 impl<'p> CompiledSim<'p> {
-    /// Creates an executor with all lanes at 0 (and the constant slots
-    /// pre-loaded).
+    /// Creates a 64-lane executor with all lanes at 0 (and the constant
+    /// slots pre-loaded).
     #[must_use]
     pub fn new(program: &'p CompiledNetlist) -> Self {
-        let mut values = vec![0u64; program.slot_count()];
-        values[SLOT_CONST1 as usize] = u64::MAX;
-        Self {
-            program,
-            toggles: vec![0; program.slot_count()],
-            values,
-            words_applied: 0,
-        }
-    }
-
-    /// The compiled program this executor runs.
-    #[must_use]
-    pub fn program(&self) -> &'p CompiledNetlist {
-        self.program
-    }
-
-    #[inline]
-    fn exec<const TOGGLED: bool>(&mut self, stimulus: &[u64]) {
-        let p = self.program;
-        assert_eq!(
-            stimulus.len(),
-            p.input_slots.len(),
-            "stimulus width mismatch"
-        );
-        let values = &mut self.values[..];
-        let toggles = &mut self.toggles[..];
-        for (&slot, &word) in p.input_slots.iter().zip(stimulus) {
-            let slot = slot as usize;
-            if TOGGLED {
-                toggles[slot] += u64::from((values[slot] ^ word).count_ones());
-            }
-            values[slot] = word;
-        }
-        // Zipped slice iteration keeps the hot loop free of per-op bounds
-        // checks on the program arrays.
-        let ops = p
-            .code
-            .iter()
-            .zip(&p.src0)
-            .zip(&p.src1)
-            .zip(&p.src2)
-            .zip(&p.dst);
-        for ((((&code, &s0), &s1), &s2), &d) in ops {
-            let a = values[s0 as usize];
-            let b = values[s1 as usize];
-            let new = eval_op(code, a, b, values[s2 as usize]);
-            let d = d as usize;
-            if TOGGLED {
-                toggles[d] += u64::from((values[d] ^ new).count_ones());
-            }
-            values[d] = new;
-        }
+        Self::wide(program)
     }
 
     /// Applies one stimulus word per primary input (ordered like the
@@ -509,20 +442,10 @@ impl<'p> CompiledSim<'p> {
         self.words_applied += 1;
     }
 
-    /// Settles all lanes *without* toggle accounting — the equivalence
-    /// fast path, where only final values matter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stimulus length differs from the input count.
-    pub fn evaluate(&mut self, stimulus: &[u64]) {
-        self.exec::<false>(stimulus);
-    }
-
     /// Current 64-lane plane of one net.
     #[must_use]
     pub fn plane(&self, net: NetId) -> u64 {
-        self.values[self.program.slot_of(net)]
+        self.planes(net)[0]
     }
 
     /// Lane-`lane` value of one net.
@@ -559,20 +482,120 @@ impl<'p> CompiledSim<'p> {
     }
 }
 
-/// One word-wide op evaluation — shared by the sequential executor and the
-/// levelized multi-threaded one.
+impl<'p, const W: usize> CompiledSim<'p, W> {
+    /// Creates an executor of `W` words per slot with all lanes at 0 (and
+    /// the constant slots pre-loaded): `CompiledSim::<8>::wide(&program)`
+    /// settles 512 lanes per sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `W == 0`.
+    #[must_use]
+    pub fn wide(program: &'p CompiledNetlist) -> Self {
+        assert!(W > 0, "an executor needs at least one word per slot");
+        let mut values = vec![[0u64; W]; program.slot_count()];
+        values[SLOT_CONST1 as usize] = [u64::MAX; W];
+        Self {
+            program,
+            toggles: vec![0; program.slot_count()],
+            values,
+            words_applied: 0,
+        }
+    }
+
+    /// The compiled program this executor runs.
+    #[must_use]
+    pub fn program(&self) -> &'p CompiledNetlist {
+        self.program
+    }
+
+    /// The one interpreter body. Toggle accounting (`TOGGLED`) sums over
+    /// all `W` words; only the 64-lane [`CompiledSim::apply`] asks for it.
+    #[inline]
+    fn exec<const TOGGLED: bool>(&mut self, stimulus: &[u64]) {
+        let p = self.program;
+        assert_eq!(
+            stimulus.len(),
+            p.input_slots.len() * W,
+            "stimulus width mismatch"
+        );
+        let values = &mut self.values[..];
+        let toggles = &mut self.toggles[..];
+        let (words, _) = stimulus.as_chunks::<W>();
+        for (&slot, word) in p.input_slots.iter().zip(words) {
+            let slot = slot as usize;
+            if TOGGLED {
+                toggles[slot] += toggled(&values[slot], word);
+            }
+            values[slot] = *word;
+        }
+        // Zipped slice iteration keeps the hot loop free of per-op bounds
+        // checks on the program arrays.
+        let ops = p
+            .code
+            .iter()
+            .zip(&p.src0)
+            .zip(&p.src1)
+            .zip(&p.src2)
+            .zip(&p.dst);
+        for ((((&code, &s0), &s1), &s2), &d) in ops {
+            let new = eval_op(
+                code,
+                values[s0 as usize],
+                values[s1 as usize],
+                values[s2 as usize],
+            );
+            let d = d as usize;
+            if TOGGLED {
+                toggles[d] += toggled(&values[d], &new);
+            }
+            values[d] = new;
+        }
+    }
+
+    /// Settles all lanes *without* toggle accounting — the equivalence
+    /// fast path, where only final values matter. The stimulus holds `W`
+    /// consecutive words per primary input (input-major, inputs ordered
+    /// like the source netlist's `inputs()`): word `w` of every input
+    /// forms the `w`-th independent 64-lane vector group.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stimulus length differs from `W` × the input count.
+    pub fn evaluate(&mut self, stimulus: &[u64]) {
+        self.exec::<false>(stimulus);
+    }
+
+    /// Current planes of one net, one 64-lane word per stimulus word.
+    #[must_use]
+    pub fn planes(&self, net: NetId) -> &[u64; W] {
+        &self.values[self.program.slot_of(net)]
+    }
+}
+
+/// Lanes that differ between two slot values, summed over all words.
 #[inline]
-pub(crate) fn eval_op(code: OpCode, a: u64, b: u64, c: u64) -> u64 {
+fn toggled<const W: usize>(old: &[u64; W], new: &[u64; W]) -> u64 {
+    old.iter()
+        .zip(new)
+        .map(|(o, n)| u64::from((o ^ n).count_ones()))
+        .sum()
+}
+
+/// One op evaluated across `W` words: the opcode is matched once, then
+/// applied word-wise.
+#[inline]
+fn eval_op<const W: usize>(code: OpCode, a: [u64; W], b: [u64; W], c: [u64; W]) -> [u64; W] {
     match code {
-        OpCode::And => a & b,
-        OpCode::Or => a | b,
-        OpCode::Nand => !(a & b),
-        OpCode::Nor => !(a | b),
-        OpCode::Xor => a ^ b,
-        OpCode::Xnor => !(a ^ b),
-        OpCode::Not => !a,
+        OpCode::And => core::array::from_fn(|i| a[i] & b[i]),
+        OpCode::Or => core::array::from_fn(|i| a[i] | b[i]),
+        OpCode::Nand => core::array::from_fn(|i| !(a[i] & b[i])),
+        OpCode::Nor => core::array::from_fn(|i| !(a[i] | b[i])),
+        OpCode::Xor => core::array::from_fn(|i| a[i] ^ b[i]),
+        OpCode::Xnor => core::array::from_fn(|i| !(a[i] ^ b[i])),
+        OpCode::Not => core::array::from_fn(|i| !a[i]),
         // Sources are [sel, a, b]: sel ? b : a.
-        OpCode::Mux => (b & !a) | (c & a),
+        OpCode::Mux => core::array::from_fn(|i| (b[i] & !a[i]) | (c[i] & a[i])),
     }
 }
 
@@ -763,18 +786,30 @@ mod tests {
     fn levels_are_topological() {
         let n = adder(8);
         let program = CompiledNetlist::compile(&n);
-        assert_eq!(program.op_levels().len(), program.op_count());
-        // Every op's sources sit at strictly lower levels.
-        let mut slot_level = vec![0u32; program.slot_count()];
+        // Program order is topological: every op reads slots written by
+        // inputs, constants or earlier ops, so the level each op derives
+        // from its sources (inputs and constants are level 0) is strictly
+        // above theirs.
+        let mut slot_level: Vec<Option<u32>> = vec![None; program.slot_count()];
+        for s in [SLOT_CONST0, SLOT_CONST1]
+            .iter()
+            .chain(program.input_slots())
+        {
+            slot_level[*s as usize] = Some(0);
+        }
+        let mut depth = 0;
         for i in 0..program.op_count() {
-            let lvl = program.op_levels()[i];
-            for s in [program.src0[i], program.src1[i], program.src2[i]] {
-                assert!(slot_level[s as usize] < lvl, "op {i}");
-            }
-            slot_level[program.dst[i] as usize] = lvl;
+            let sources = [program.src0[i], program.src1[i], program.src2[i]];
+            let lvl = 1 + sources
+                .iter()
+                .map(|&s| slot_level[s as usize].unwrap_or_else(|| panic!("op {i} reads ahead")))
+                .max()
+                .unwrap();
+            slot_level[program.dst[i] as usize] = Some(lvl);
+            depth = depth.max(lvl);
         }
         // A ripple adder's carry chain makes the depth at least its width.
-        assert!(program.max_level() >= 8);
+        assert!(depth >= 8);
     }
 
     #[test]

@@ -6,19 +6,28 @@
 //!
 //! Each check runs on one of two [`Engine`]s. The scalar engine drives
 //! one vector at a time through [`LogicSim`] — the reference. The
-//! compiled engine flattens the netlist once ([`CompiledNetlist`]), packs
-//! 64 operand pairs per sweep into bit-planes (reusing the
-//! `sdlc_wideint::bitplane` transpose machinery), and shards the operand
-//! space across scoped threads through the same
-//! [`parallel_chunks`](sdlc_wideint::parallel::parallel_chunks) splitter
-//! as the `sdlc-core` error drivers. Operands up to 128 bits are packed as
-//! two 64-plane halves, and products up to 256 bits decode 64 planes at a
-//! time, so the compiled engine covers every multiplier the workspace
-//! builds; the scalar engine only runs when asked for. Pair order, lane
-//! decoding order and chunk merge order all follow the scalar sweep, so
-//! the engines return bit-identical verdicts — including the *same first*
-//! counterexample — at a fraction of the cost (the differential suite
-//! proves it).
+//! compiled engine flattens the netlist once ([`CompiledNetlist`]) and
+//! evaluates **512 operand pairs per sweep**: eight 64-lane bit-plane
+//! words per value slot ([`CompiledSim`] with `W = 8`), so each op's
+//! dispatch is paid once per 512 pairs. Operand planes reuse the
+//! `sdlc_wideint::bitplane` transpose machinery, and the operand space is
+//! sharded across scoped threads through the same
+//! [`parallel_chunks`] splitter as the `sdlc-core` error drivers.
+//!
+//! * Exhaustive sweeps shard rows; each thread fills a sweep with the next
+//!   eight row-major `(a, b0 .. b0 + 63)` blocks of its chunk (a sweep may
+//!   span rows) and then checks the blocks in order.
+//! * Sampled sweeps generate each 512-pair group straight from the seed
+//!   (the generator seeks with [`SplitMix64::advance`]), so memory stays
+//!   bounded for any sample count.
+//!
+//! Operands up to 128 bits are packed as two 64-plane halves, and products
+//! up to 256 bits decode 64 planes at a time, so the compiled engine
+//! covers every multiplier the workspace builds; the scalar engine only
+//! runs when asked for. Pair order, lane decoding order and chunk merge
+//! order all follow the scalar sweep, so the engines return bit-identical
+//! verdicts — including the *same first* counterexample — at a fraction
+//! of the cost (the differential suite proves it).
 
 use core::fmt;
 
@@ -314,8 +323,8 @@ pub fn check_sampled_with_engine(
 ) -> Result<(), Box<Mismatch>> {
     match engine {
         Engine::Compiled => {
-            let pairs: Vec<(u128, u128)> = sampled_pairs(width, samples, seed).collect();
-            match pairs_walk_compiled(netlist, width, &pairs, |a, b, got| {
+            let sequence = SampledPairs::unsigned(width, samples, seed);
+            match pairs_walk_compiled(netlist, width, &sequence, |a, b, got| {
                 unsigned_check_pair(a, b, got, &model)
             }) {
                 Some(mismatch) => Err(mismatch),
@@ -347,20 +356,13 @@ fn unsigned_check_pair(
     }
 }
 
-/// The shared stimulus sequence of the sampled checks: nine corner pairs,
-/// then `samples` seeded draws. Both engines iterate exactly this
-/// sequence, which is what makes their first counterexamples identical.
+/// The unsigned sampled stimulus sequence: nine corner pairs, then
+/// `samples` seeded draws. The scalar engine iterates exactly this
+/// sequence; the compiled engine streams the same pairs group by group
+/// ([`SampledPairs::fill`]), which is what makes their first
+/// counterexamples identical.
 fn sampled_pairs(width: u32, samples: u64, seed: u64) -> impl Iterator<Item = (u128, u128)> {
-    let max = if width == 128 {
-        u128::MAX
-    } else {
-        (1u128 << width) - 1
-    };
-    let corners = [0u128, 1, max];
-    let corner_pairs: Vec<(u128, u128)> = corners
-        .iter()
-        .flat_map(|&a| corners.iter().map(move |&b| (a, b)))
-        .collect();
+    let corner_pairs = corner_pairs(&unsigned_corners(width));
     let mut rng = SplitMix64::new(seed);
     let draws = (0..samples).map(move |_| {
         let a = draw_pattern(&mut rng, width);
@@ -370,11 +372,94 @@ fn sampled_pairs(width: u32, samples: u64, seed: u64) -> impl Iterator<Item = (u
     corner_pairs.into_iter().chain(draws)
 }
 
+/// The all-ones pattern of `width` bits.
+fn all_ones(width: u32) -> u128 {
+    if width == 128 {
+        u128::MAX
+    } else {
+        (1u128 << width) - 1
+    }
+}
+
+/// Unsigned corner operands: 0, 1 and all-ones.
+fn unsigned_corners(width: u32) -> Vec<u128> {
+    vec![0, 1, all_ones(width)]
+}
+
+/// Every ordered pair of corner operands, row-major.
+fn corner_pairs(corners: &[u128]) -> Vec<(u128, u128)> {
+    corners
+        .iter()
+        .flat_map(|&a| corners.iter().map(move |&b| (a, b)))
+        .collect()
+}
+
 fn draw_pattern(rng: &mut SplitMix64, width: u32) -> u128 {
     if width <= 64 {
         u128::from(rng.next_bits(width))
     } else {
         (u128::from(rng.next_bits(width - 64)) << 64) | u128::from(rng.next_u64())
+    }
+}
+
+/// Random-access form of a sampled sequence ([`sampled_pairs`] or
+/// [`sampled_signed_patterns`]): the corner pairs, then `samples` seeded
+/// draws, any stretch of which can be generated on its own by seeking the
+/// generator with [`SplitMix64::advance`] — the compiled sweeps stream
+/// groups instead of collecting the whole sequence.
+struct SampledPairs {
+    corners: Vec<(u128, u128)>,
+    width: u32,
+    samples: u64,
+    seed: u64,
+}
+
+impl SampledPairs {
+    fn unsigned(width: u32, samples: u64, seed: u64) -> Self {
+        Self {
+            corners: corner_pairs(&unsigned_corners(width)),
+            width,
+            samples,
+            seed,
+        }
+    }
+
+    fn signed(width: u32, samples: u64, seed: u64) -> Self {
+        Self {
+            corners: corner_pairs(&signed_corners(width)),
+            width,
+            samples,
+            seed,
+        }
+    }
+
+    /// Number of pairs in the sequence.
+    fn len(&self) -> u64 {
+        self.corners.len() as u64 + self.samples
+    }
+
+    /// Generator outputs one [`draw_pattern`] consumes.
+    fn outputs_per_operand(&self) -> u64 {
+        match self.width {
+            0 => 0,
+            1..=64 => 1,
+            _ => 2,
+        }
+    }
+
+    /// Writes pairs `start .. start + out.len()` of the sequence.
+    fn fill(&self, start: u64, out: &mut [(u128, u128)]) {
+        let corners = self.corners.len() as u64;
+        let mut rng = SplitMix64::new(self.seed);
+        rng.advance(start.saturating_sub(corners) * 2 * self.outputs_per_operand());
+        for (k, pair) in (start..).zip(out) {
+            *pair = if k < corners {
+                self.corners[k as usize]
+            } else {
+                let a = draw_pattern(&mut rng, self.width);
+                (a, draw_pattern(&mut rng, self.width))
+            };
+        }
     }
 }
 
@@ -402,6 +487,15 @@ fn check_one(
 // ---------------------------------------------------------------------
 // Compiled word-parallel sweeps.
 // ---------------------------------------------------------------------
+
+/// 64-lane words per compiled sweep: the opcode match and index loads of
+/// every op are paid once per `WORDS` words.
+const WORDS: usize = 8;
+/// Operand pairs per compiled sweep.
+const GROUP: usize = WORDS * bitplane::LANES;
+
+/// The compiled sweeps' executor: `WORDS` words per value slot.
+type GroupSim<'p> = CompiledSim<'p, WORDS>;
 
 /// Pre-resolved `a`/`b`/`p` port map for the compiled sweeps: stimulus
 /// slots are written straight from operand bit-planes, products read
@@ -459,20 +553,39 @@ impl AbPorts {
         }
     }
 
-    fn fill_stimulus(&self, a_planes: &[u64], b_planes: &[u64], stimulus: &mut [u64]) {
-        for (slot, &(is_b, bit)) in stimulus.iter_mut().zip(&self.input_src) {
-            *slot = if is_b { b_planes[bit] } else { a_planes[bit] };
+    /// A zeroed worker state for one thread: the executor, its stimulus
+    /// buffer and one `WORDS`-word plane per operand bit.
+    fn worker<'p>(&self, program: &'p CompiledNetlist) -> GroupWorker<'p> {
+        GroupWorker {
+            sim: CompiledSim::wide(program),
+            stimulus: vec![0; self.input_src.len() * WORDS],
+            a_planes: vec![[0; WORDS]; self.a_len],
+            b_planes: vec![[0; WORDS]; self.b_len],
         }
     }
 
-    /// Decodes the 64 per-lane products from a `p` bus of at most 64
-    /// bits, using the cheapest bitplane transpose that fits its width.
-    fn product_lanes(&self, sim: &CompiledSim<'_>, out: &mut [u64; bitplane::LANES]) {
+    /// Settles the worker's operand planes through the program.
+    fn evaluate(&self, worker: &mut GroupWorker<'_>) {
+        let (words, _) = worker.stimulus.as_chunks_mut::<WORDS>();
+        for (word, &(is_b, bit)) in words.iter_mut().zip(&self.input_src) {
+            *word = if is_b {
+                worker.b_planes[bit]
+            } else {
+                worker.a_planes[bit]
+            };
+        }
+        worker.sim.evaluate(&worker.stimulus);
+    }
+
+    /// Decodes the 64 per-lane products of stimulus word `word` from a `p`
+    /// bus of at most 64 bits, using the cheapest bitplane transpose that
+    /// fits its width.
+    fn product_lanes(&self, sim: &GroupSim<'_>, word: usize, out: &mut [u64; bitplane::LANES]) {
         let len = self.p_nets.len();
         if len <= 16 {
             let mut planes = [0u64; 16];
             for (plane, &net) in planes.iter_mut().zip(&self.p_nets) {
-                *plane = sim.plane(net);
+                *plane = sim.planes(net)[word];
             }
             let lanes = bitplane::lanes_from_planes16(&planes);
             for (o, &l) in out.iter_mut().zip(&lanes) {
@@ -481,42 +594,54 @@ impl AbPorts {
         } else if len <= 32 {
             let mut planes = [0u64; 32];
             for (plane, &net) in planes.iter_mut().zip(&self.p_nets) {
-                *plane = sim.plane(net);
+                *plane = sim.planes(net)[word];
             }
             let lanes = bitplane::lanes_from_planes32(&planes);
             for (o, &l) in out.iter_mut().zip(&lanes) {
                 *o = u64::from(l);
             }
         } else {
-            self.product_chunk(sim, 0, out);
+            self.product_chunk(sim, word, 0, out);
         }
     }
 
-    /// Transposes `p` planes `64·chunk ..` (zero past the bus) into one
-    /// 64-bit limb per lane.
-    fn product_chunk(&self, sim: &CompiledSim<'_>, chunk: usize, out: &mut [u64; bitplane::LANES]) {
+    /// Transposes `p` planes `64·chunk ..` (zero past the bus) of stimulus
+    /// word `word` into one 64-bit limb per lane.
+    fn product_chunk(
+        &self,
+        sim: &GroupSim<'_>,
+        word: usize,
+        chunk: usize,
+        out: &mut [u64; bitplane::LANES],
+    ) {
         let mut planes = [0u64; bitplane::LANES];
         let nets = self.p_nets.iter().skip(chunk * bitplane::LANES);
         for (plane, &net) in planes.iter_mut().zip(nets) {
-            *plane = sim.plane(net);
+            *plane = sim.planes(net)[word];
         }
         *out = bitplane::transposed64(&planes);
     }
 
-    /// Decodes the 64 per-lane products from a `p` bus of any supported
-    /// width (up to 256 bits), one 64-plane transpose per limb.
-    fn wide_product_lanes(&self, sim: &CompiledSim<'_>, out: &mut [U256; bitplane::LANES]) {
+    /// Decodes the 64 per-lane products of stimulus word `word` from a `p`
+    /// bus of any supported width (up to 256 bits), one 64-plane transpose
+    /// per limb.
+    fn wide_product_lanes(
+        &self,
+        sim: &GroupSim<'_>,
+        word: usize,
+        out: &mut [U256; bitplane::LANES],
+    ) {
         let len = self.p_nets.len();
         let mut limb = [0u64; bitplane::LANES];
         if len <= 64 {
-            self.product_lanes(sim, &mut limb);
+            self.product_lanes(sim, word, &mut limb);
             for (o, &l) in out.iter_mut().zip(&limb) {
                 *o = U256::from_u64(l);
             }
             return;
         }
         for chunk in 0..len.div_ceil(bitplane::LANES) {
-            self.product_chunk(sim, chunk, &mut limb);
+            self.product_chunk(sim, word, chunk, &mut limb);
             for (o, &l) in out.iter_mut().zip(&limb) {
                 o.limbs_mut()[chunk] = l;
             }
@@ -524,26 +649,36 @@ impl AbPorts {
     }
 }
 
-/// Bit-planes of 64 lane operands for a bus of `len` bits: the low and
-/// high 64-bit halves each take one transpose (bits past 128 are zero).
-fn operand_planes(lanes: &[u128; bitplane::LANES], len: usize, out: &mut [u64]) {
+/// One thread's sweep state: a [`GroupSim`] plus the operand planes of the
+/// group it evaluates next (`a_planes[j][w]` is bit `j` of word `w`).
+struct GroupWorker<'p> {
+    sim: GroupSim<'p>,
+    stimulus: Vec<u64>,
+    a_planes: Vec<[u64; WORDS]>,
+    b_planes: Vec<[u64; WORDS]>,
+}
+
+/// Writes `planes` into word `word` of a `WORDS`-word plane stack.
+fn set_word(planes: &[u64], word: usize, out: &mut [[u64; WORDS]]) {
+    for (o, &plane) in out.iter_mut().zip(planes) {
+        o[word] = plane;
+    }
+}
+
+/// Writes word `word` of the bit-planes of 64 lane operands for a bus of
+/// `out.len()` bits: the low and high 64-bit halves each take one
+/// transpose (bits past 128 stay zero).
+fn operand_planes(lanes: &[u128; bitplane::LANES], word: usize, out: &mut [[u64; WORDS]]) {
     let low = bitplane::transposed64(&core::array::from_fn(|i| lanes[i] as u64));
-    let high = if len > 64 {
-        bitplane::transposed64(&core::array::from_fn(|i| (lanes[i] >> 64) as u64))
-    } else {
-        [0u64; bitplane::LANES]
-    };
-    for (j, plane) in out.iter_mut().enumerate().take(len) {
-        *plane = match j {
-            0..=63 => low[j],
-            64..=127 => high[j - 64],
-            _ => 0,
-        };
+    set_word(&low, word, out);
+    if out.len() > 64 {
+        let high = bitplane::transposed64(&core::array::from_fn(|i| (lanes[i] >> 64) as u64));
+        set_word(&high, word, &mut out[64..]);
     }
 }
 
 /// Sweeps the full `count × count` operand rectangle in row-major order,
-/// 64 consecutive `b` values per sweep, rows sharded across threads via
+/// 64 consecutive `b` values per block, rows sharded across threads via
 /// the shared chunk splitter. `check_pair(a, b, netlist_product)` is
 /// called in exact scalar order within each chunk; the first `Some`
 /// across chunks (merged in chunk order) is therefore the same
@@ -554,9 +689,9 @@ fn exhaustive_walk_compiled<E: Send>(
     count: u64,
     check_pair: impl Fn(u128, u128, &U256) -> Option<Box<E>> + Sync,
 ) -> Option<Box<E>> {
-    exhaustive_sweeps(netlist, width, count, |ports, sim, a, b0, valid| {
+    exhaustive_sweeps(netlist, width, count, |ports, sim, word, a, b0, valid| {
         let mut lanes = [U256::ZERO; bitplane::LANES];
-        ports.wide_product_lanes(sim, &mut lanes);
+        ports.wide_product_lanes(sim, word, &mut lanes);
         (0..valid).find_map(|i| check_pair(u128::from(a), u128::from(b0 + i as u64), &lanes[i]))
     })
 }
@@ -574,45 +709,56 @@ fn exhaustive_walk_compiled_blocks<E: Send>(
     count: u64,
     check_block: impl Fn(u64, u64, usize, &[u64; bitplane::LANES]) -> Option<Box<E>> + Sync,
 ) -> Option<Box<E>> {
-    exhaustive_sweeps(netlist, width, count, |ports, sim, a, b0, valid| {
+    exhaustive_sweeps(netlist, width, count, |ports, sim, word, a, b0, valid| {
         let mut lanes = [0u64; bitplane::LANES];
-        ports.product_lanes(sim, &mut lanes);
+        ports.product_lanes(sim, word, &mut lanes);
         check_block(a, b0, valid, &lanes)
     })
 }
 
-/// The shared driver of the compiled exhaustive walks: evaluates every
-/// 64-lane sweep of the rectangle (rows sharded across threads) and hands
-/// the evaluated program to `visit(ports, sim, a, b0, valid)`, stopping a
-/// chunk at its first `Some`.
+/// The shared driver of the compiled exhaustive walks. Rows are sharded
+/// across threads; each chunk's row-major 64-lane blocks `(a, b0)` are
+/// evaluated `WORDS` at a time (a group may span rows), then handed in
+/// order to `visit(ports, sim, word, a, b0, valid)`, stopping the chunk at
+/// its first `Some`.
 fn exhaustive_sweeps<E: Send>(
     netlist: &Netlist,
     width: u32,
     count: u64,
-    visit: impl Fn(&AbPorts, &CompiledSim<'_>, u64, u64, usize) -> Option<Box<E>> + Sync,
+    visit: impl Fn(&AbPorts, &GroupSim<'_>, usize, u64, u64, usize) -> Option<Box<E>> + Sync,
 ) -> Option<Box<E>> {
     let ports = AbPorts::of(netlist, width);
     let program = CompiledNetlist::compile(netlist);
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Exhaustive operands stay below 2^16: planes past 64 stay zero.
-    let (a_low, b_low) = (ports.a_len.min(64) as u32, ports.b_len.min(64) as u32);
+    let (a_low, b_low) = (ports.a_len.min(64), ports.b_len.min(64));
+    let blocks_per_row = count.div_ceil(bitplane::LANES as u64);
+    let block = |k: u64| {
+        (
+            k / blocks_per_row,
+            (k % blocks_per_row) * bitplane::LANES as u64,
+        )
+    };
     let partials = parallel_chunks(count, threads, |lo, hi| {
-        let mut sim = CompiledSim::new(&program);
-        let mut stimulus = vec![0u64; netlist.inputs().len()];
-        let mut a_planes = vec![0u64; ports.a_len];
-        let mut b_planes = vec![0u64; ports.b_len];
-        for a in lo..hi {
-            bitplane::broadcast_planes(a, a_low, &mut a_planes);
-            let mut b0 = 0u64;
-            while b0 < count {
-                bitplane::counter_planes(b0, b_low, &mut b_planes);
-                ports.fill_stimulus(&a_planes, &b_planes, &mut stimulus);
-                sim.evaluate(&stimulus);
+        let mut worker = ports.worker(&program);
+        let mut planes = [0u64; bitplane::LANES];
+        let (first, end) = (lo * blocks_per_row, hi * blocks_per_row);
+        for start in (first..end).step_by(WORDS) {
+            let group = start..end.min(start + WORDS as u64);
+            for (word, k) in group.clone().enumerate() {
+                let (a, b0) = block(k);
+                bitplane::broadcast_planes(a, a_low as u32, &mut planes);
+                set_word(&planes[..a_low], word, &mut worker.a_planes);
+                bitplane::counter_planes(b0, b_low as u32, &mut planes);
+                set_word(&planes[..b_low], word, &mut worker.b_planes);
+            }
+            ports.evaluate(&mut worker);
+            for (word, k) in group.enumerate() {
+                let (a, b0) = block(k);
                 let valid = (count - b0).min(bitplane::LANES as u64) as usize;
-                if let Some(err) = visit(&ports, &sim, a, b0, valid) {
+                if let Some(err) = visit(&ports, &worker.sim, word, a, b0, valid) {
                     return Some(err);
                 }
-                b0 += bitplane::LANES as u64;
             }
         }
         None
@@ -620,42 +766,47 @@ fn exhaustive_sweeps<E: Send>(
     partials.into_iter().flatten().next()
 }
 
-/// Sweeps an explicit pair list (the sampled sequence) in order, 64 pairs
-/// per sweep, blocks sharded across threads. Lane decoding follows list
-/// order, so the first `Some` matches the scalar engine's.
+/// Sweeps a sampled pair sequence in order, `GROUP` pairs per sweep,
+/// groups sharded across threads. Each group is generated straight from
+/// the seed ([`SampledPairs::fill`]), so memory stays bounded for any
+/// sample count. Lane decoding follows sequence order, so the first
+/// `Some` matches the scalar engine's.
 fn pairs_walk_compiled<E: Send>(
     netlist: &Netlist,
     width: u32,
-    pairs: &[(u128, u128)],
+    sequence: &SampledPairs,
     check_pair: impl Fn(u128, u128, &U256) -> Option<Box<E>> + Sync,
 ) -> Option<Box<E>> {
     let ports = AbPorts::of(netlist, width);
     let program = CompiledNetlist::compile(netlist);
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let blocks = pairs.len().div_ceil(bitplane::LANES) as u64;
-    let partials = parallel_chunks(blocks, threads, |lo, hi| {
-        let mut sim = CompiledSim::new(&program);
-        let mut stimulus = vec![0u64; netlist.inputs().len()];
-        let mut a_planes = vec![0u64; ports.a_len];
-        let mut b_planes = vec![0u64; ports.b_len];
+    let total = sequence.len();
+    let groups = total.div_ceil(GROUP as u64);
+    let partials = parallel_chunks(groups, threads, |lo, hi| {
+        let mut worker = ports.worker(&program);
+        let mut buffer = [(0u128, 0u128); GROUP];
         let mut lanes = [U256::ZERO; bitplane::LANES];
-        for block in lo..hi {
-            let base = block as usize * bitplane::LANES;
-            let chunk = &pairs[base..pairs.len().min(base + bitplane::LANES)];
-            let mut a_lanes = [0u128; bitplane::LANES];
-            let mut b_lanes = [0u128; bitplane::LANES];
-            for (i, &(a, b)) in chunk.iter().enumerate() {
-                a_lanes[i] = a;
-                b_lanes[i] = b;
+        for group in lo..hi {
+            let start = group * GROUP as u64;
+            let pairs = &mut buffer[..(total - start).min(GROUP as u64) as usize];
+            sequence.fill(start, pairs);
+            for (word, block) in pairs.chunks(bitplane::LANES).enumerate() {
+                let mut a_lanes = [0u128; bitplane::LANES];
+                let mut b_lanes = [0u128; bitplane::LANES];
+                for (i, &(a, b)) in block.iter().enumerate() {
+                    a_lanes[i] = a;
+                    b_lanes[i] = b;
+                }
+                operand_planes(&a_lanes, word, &mut worker.a_planes);
+                operand_planes(&b_lanes, word, &mut worker.b_planes);
             }
-            operand_planes(&a_lanes, ports.a_len, &mut a_planes);
-            operand_planes(&b_lanes, ports.b_len, &mut b_planes);
-            ports.fill_stimulus(&a_planes, &b_planes, &mut stimulus);
-            sim.evaluate(&stimulus);
-            ports.wide_product_lanes(&sim, &mut lanes);
-            for (i, &(a, b)) in chunk.iter().enumerate() {
-                if let Some(err) = check_pair(a, b, &lanes[i]) {
-                    return Some(err);
+            ports.evaluate(&mut worker);
+            for (word, block) in pairs.chunks(bitplane::LANES).enumerate() {
+                ports.wide_product_lanes(&worker.sim, word, &mut lanes);
+                for (&(a, b), got) in block.iter().zip(&lanes) {
+                    if let Some(err) = check_pair(a, b, got) {
+                        return Some(err);
+                    }
                 }
             }
         }
@@ -800,9 +951,8 @@ pub fn check_sampled_signed_with_engine(
 ) -> Result<(), Box<SignedMismatch>> {
     match engine {
         Engine::Compiled => {
-            let patterns: Vec<(u128, u128)> =
-                sampled_signed_patterns(width, samples, seed).collect();
-            match pairs_walk_compiled(netlist, width, &patterns, |ua, ub, got| {
+            let sequence = SampledPairs::signed(width, samples, seed);
+            match pairs_walk_compiled(netlist, width, &sequence, |ua, ub, got| {
                 signed_check_pair(width, ua, ub, got, &model)
             }) {
                 Some(mismatch) => Err(mismatch),
@@ -814,24 +964,14 @@ pub fn check_sampled_signed_with_engine(
 }
 
 /// The signed sampled stimulus sequence: 25 signed corner pairs, then
-/// `samples` seeded pattern draws — shared by both engines.
+/// `samples` seeded pattern draws — the scalar engine's stimulus, which
+/// the compiled engine streams through [`SampledPairs::fill`].
 fn sampled_signed_patterns(
     width: u32,
     samples: u64,
     seed: u64,
 ) -> impl Iterator<Item = (u128, u128)> {
-    let mask = if width == 128 {
-        u128::MAX
-    } else {
-        (1u128 << width) - 1
-    };
-    let min_pattern = 1u128 << (width - 1); // MIN = 100…0
-    let max_pattern = min_pattern - 1; // MAX = 011…1
-    let corners = [0u128, 1, mask /* −1 */, max_pattern, min_pattern];
-    let corner_pairs: Vec<(u128, u128)> = corners
-        .iter()
-        .flat_map(|&ua| corners.iter().map(move |&ub| (ua, ub)))
-        .collect();
+    let corner_pairs = corner_pairs(&signed_corners(width));
     let mut rng = SplitMix64::new(seed);
     let draws = (0..samples).map(move |_| {
         let ua = draw_pattern(&mut rng, width);
@@ -839,6 +979,19 @@ fn sampled_signed_patterns(
         (ua, ub)
     });
     corner_pairs.into_iter().chain(draws)
+}
+
+/// Signed corner patterns: 0, 1, −1, MAX and MIN.
+fn signed_corners(width: u32) -> Vec<u128> {
+    let min_pattern = 1u128 << (width - 1); // MIN = 100…0
+    let max_pattern = min_pattern - 1; // MAX = 011…1
+    vec![
+        0,
+        1,
+        all_ones(width), /* −1 */
+        max_pattern,
+        min_pattern,
+    ]
 }
 
 /// One signed pair comparison of the compiled sweeps, decoding the raw
@@ -1043,6 +1196,38 @@ mod tests {
             |a, b| U256::from_u128(a).wrapping_mul(&U256::from_u128(b)),
             Engine::Compiled,
         );
+    }
+
+    #[test]
+    fn streamed_groups_reproduce_the_reference_sequences() {
+        for width in [3u32, 64, 65, 128] {
+            for samples in [0u64, 1, 63, 64, 511, 513] {
+                let sequences = [
+                    (
+                        SampledPairs::unsigned(width, samples, 21),
+                        sampled_pairs(width, samples, 21).collect::<Vec<_>>(),
+                    ),
+                    (
+                        SampledPairs::signed(width, samples, 21),
+                        sampled_signed_patterns(width, samples, 21).collect(),
+                    ),
+                ];
+                for (streamed, reference) in &sequences {
+                    assert_eq!(streamed.len(), reference.len() as u64);
+                    // Any stretch, from any start, matches the reference.
+                    for start in [0usize, 1, 8, 9, 24, 25, 300, 512] {
+                        let start = start.min(reference.len());
+                        let mut out = vec![(0, 0); (reference.len() - start).min(GROUP)];
+                        streamed.fill(start as u64, &mut out);
+                        assert_eq!(
+                            out,
+                            reference[start..start + out.len()],
+                            "{width}/{samples}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -241,8 +241,8 @@ impl TimedProgram {
 
     /// The deepest arrival time of any net — the program's critical path
     /// under the same load model as `sdlc-synth`'s STA, and an exact
-    /// upper bound on every [`GlitchApplyResult::settle_ps`] (for both
-    /// timing engines: the scalar one sums the same quantized delays).
+    /// upper bound on every settle time [`GlitchSim::apply`] reports (for
+    /// both timing engines: the scalar one sums the same quantized delays).
     #[must_use]
     pub fn critical_arrival_ps(&self) -> f64 {
         self.arrival_ticks.iter().copied().max().unwrap_or(0) as f64 / 1024.0

@@ -1,6 +1,6 @@
 //! Gate-level logic simulation (the reproduction's stand-in for QuestaSim).
 //!
-//! Four engines share the netlist IR:
+//! Five engines share the netlist IR:
 //!
 //! * [`LogicSim`] — scalar levelized zero-delay simulation with per-net
 //!   toggle counting; the reference engine every faster path is checked
@@ -11,7 +11,9 @@
 //!   a dense struct-of-arrays program (constants folded, buffer chains
 //!   chased, ports pre-mapped) whose executor evaluates 64 vectors per
 //!   sweep without re-walking the `Netlist`; the fast path for
-//!   equivalence checking and switching-activity estimation.
+//!   switching-activity estimation. The same interpreter body, generic
+//!   over the words per slot, settles 512 vectors (8 words) per op
+//!   dispatch in the equivalence sweeps.
 //! * [`TimingSim`] — event-driven simulation with per-gate load-dependent
 //!   delays from `sdlc-techlib`; observes *glitches* (spurious transitions
 //!   inside a cycle) that zero-delay simulation cannot, and reports settle
@@ -24,24 +26,18 @@
 //!   accounting (same delays, same quantization, same event order) at a
 //!   fraction of the cost.
 //!
-//! A compiled program can also run its sweeps *levelized across worker
-//! threads* ([`CompiledNetlist::run_leveled`]): ops on one topological
-//! level shard across a persistent spin-barrier team, so a single large
-//! netlist with inherently serial sweeps scales across cores too.
-//!
 //! [`activity`] drives the zero-delay engines over seeded random vector
 //! streams and aggregates per-net toggle statistics for the power model in
 //! `sdlc-synth` (and the glitch-aware equivalents through the timing
 //! engines); [`equiv`] checks netlists against functional models, with
 //! an [`Engine`] selector between the scalar reference and the compiled
-//! word-parallel, multi-threaded sweep (model side optionally batched
-//! 64 pairs per call via `check_exhaustive_batched`).
+//! 512-lane, multi-threaded sweep (model side optionally batched 64 pairs
+//! per call via [`equiv::check_exhaustive_batched`]).
 
 pub mod activity;
 mod compile;
 pub mod equiv;
 mod glitch;
-mod leveled;
 mod logic;
 mod parallel;
 mod timing;
@@ -49,7 +45,6 @@ mod timing;
 pub use compile::{CompiledNetlist, CompiledSim};
 pub use equiv::Engine;
 pub use glitch::{GlitchSim, TimedProgram};
-pub use leveled::LeveledSim;
 pub use logic::{ab_stimulus, LogicSim};
 pub use parallel::BitParallelSim;
 pub use timing::{ApplyResult, TimingSim};

@@ -9,81 +9,6 @@
 //! must be the same one the single-threaded sweep would report. Keeping
 //! one shared implementation guarantees the paths can never diverge.
 
-/// The contiguous chunk `[lo, hi)` that position `index` of `chunks`
-/// receives when `[0, count)` is split with the same ceiling-division
-/// formula as [`parallel_chunks`]. Exposed so callers that manage their
-/// own workers (the levelized intra-netlist executor in `sdlc-sim`) shard
-/// identically to the scoped-thread sweeps.
-#[must_use]
-pub fn chunk_range(count: usize, chunks: usize, index: usize) -> (usize, usize) {
-    let chunk = count.div_ceil(chunks.max(1));
-    let lo = (index * chunk).min(count);
-    let hi = (lo + chunk).min(count);
-    (lo, hi)
-}
-
-/// A sense-reversing spin barrier for tightly-coupled worker teams.
-///
-/// [`std::sync::Barrier`] parks threads through a mutex + condvar, which
-/// costs microseconds per rendezvous — more than an entire topological
-/// level of a compiled netlist takes to evaluate. This barrier spins (with
-/// [`std::hint::spin_loop`], yielding to the scheduler after a bounded
-/// number of spins so oversubscribed machines still make progress) and
-/// synchronizes through one atomic generation counter: the last arriver
-/// publishes the next generation with `Release`, and every waiter's
-/// `Acquire` load of it orders all pre-barrier writes before any
-/// post-barrier read — the happens-before edge the levelized executor
-/// relies on when one thread reads values another thread's level wrote.
-#[derive(Debug)]
-pub struct SpinBarrier {
-    total: usize,
-    arrived: std::sync::atomic::AtomicUsize,
-    generation: std::sync::atomic::AtomicUsize,
-}
-
-impl SpinBarrier {
-    /// A barrier releasing once `total` threads have called
-    /// [`SpinBarrier::wait`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total == 0`.
-    #[must_use]
-    pub fn new(total: usize) -> Self {
-        assert!(total > 0, "a barrier needs at least one participant");
-        Self {
-            total,
-            arrived: std::sync::atomic::AtomicUsize::new(0),
-            generation: std::sync::atomic::AtomicUsize::new(0),
-        }
-    }
-
-    /// Blocks until all participants of the current generation arrive.
-    pub fn wait(&self) {
-        use std::sync::atomic::Ordering;
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            // Last arriver: reset the count *before* publishing the new
-            // generation — nobody can re-enter until the store below.
-            self.arrived.store(0, Ordering::Relaxed);
-            self.generation
-                .store(generation.wrapping_add(1), Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == generation {
-                spins = spins.saturating_add(1);
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    // Oversubscribed (or single-core) machines: hand the
-                    // slice to whichever sibling still has work.
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
 /// Splits `[0, count)` into at most `threads` contiguous chunks and runs
 /// `worker(lo, hi)` on scoped threads, returning the partial results in
 /// chunk order.
@@ -149,58 +74,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunk_range_matches_parallel_chunks_partition() {
-        for (count, chunks) in [(100usize, 7usize), (3, 64), (0, 4), (64, 1)] {
-            let ranges: Vec<(u64, u64)> = parallel_chunks(count as u64, chunks, |lo, hi| (lo, hi));
-            for (i, &(lo, hi)) in ranges.iter().enumerate() {
-                let (clo, chi) = chunk_range(count, chunks.min(count).max(1), i);
-                assert_eq!((clo as u64, chi as u64), (lo, hi), "{count}/{chunks}#{i}");
-            }
-            // Indices past the last populated chunk yield empty ranges.
-            let (lo, hi) = chunk_range(count, chunks, chunks + 3);
-            assert_eq!(lo, hi);
-        }
-    }
-
-    #[test]
-    fn spin_barrier_synchronizes_phases() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        const THREADS: usize = 4;
-        const PHASES: usize = 32;
-        let barrier = SpinBarrier::new(THREADS);
-        let counter = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|_| {
-                    scope.spawn(|| {
-                        for phase in 0..PHASES {
-                            counter.fetch_add(1, Ordering::Relaxed);
-                            barrier.wait();
-                            // Every thread of this phase has incremented.
-                            let seen = counter.load(Ordering::Relaxed);
-                            assert!(
-                                seen >= (phase + 1) * THREADS,
-                                "phase {phase} saw only {seen}"
-                            );
-                            barrier.wait();
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                handle.join().expect("barrier worker panicked");
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), THREADS * PHASES);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one participant")]
-    fn zero_participant_barrier_rejected() {
-        let _ = SpinBarrier::new(0);
-    }
 
     #[test]
     fn chunks_cover_the_range_in_order() {

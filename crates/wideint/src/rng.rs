@@ -25,6 +25,9 @@ pub struct SplitMix64 {
     state: u64,
 }
 
+/// The SplitMix64 state increment (the golden-ratio "gamma").
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
 impl SplitMix64 {
     /// Creates a generator from a seed; every seed gives a full-period,
     /// decorrelated stream.
@@ -33,9 +36,17 @@ impl SplitMix64 {
         Self { state: seed }
     }
 
+    /// Skips the next `n` outputs in O(1): the state moves by `n`
+    /// increments, exactly as `n` calls of [`SplitMix64::next_u64`] would
+    /// move it. Lets a sweep generate any stretch of a seeded stream on
+    /// its own.
+    pub fn advance(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
+    }
+
     /// Next 64 uniformly distributed bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -109,6 +120,27 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn advance_skips_exactly_n_outputs() {
+        for n in [0u64, 1, 2, 63, 1000] {
+            let mut stepped = SplitMix64::new(0x5D1C);
+            for _ in 0..n {
+                stepped.next_u64();
+            }
+            let mut skipped = SplitMix64::new(0x5D1C);
+            skipped.advance(n);
+            assert_eq!(skipped, stepped, "n = {n}");
+            assert_eq!(skipped.next_u64(), stepped.next_u64());
+        }
+        // Far seeks wrap the state like the stepped stream would.
+        let mut far = SplitMix64::new(u64::MAX);
+        far.advance(u64::MAX);
+        let mut near = SplitMix64::new(u64::MAX);
+        near.advance(u64::MAX - 1);
+        near.next_u64();
+        assert_eq!(far, near);
     }
 
     #[test]

@@ -358,7 +358,7 @@ fn cmd_verify(options: &Options) -> Result<(), String> {
     } else {
         core::slice::from_ref(&options.scheme)
     };
-    // The compiled engine packs 64 vectors per netlist sweep and shards
+    // The compiled engine packs 512 vectors per netlist sweep and shards
     // rows across cores; batching the model side through its bit-sliced
     // twin lifts the practical exhaustive ceiling from 8 (scalar) to 12
     // bits unsigned (10 signed — the signed model has no batched

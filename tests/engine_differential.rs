@@ -13,11 +13,11 @@ use sdlc::core::{Multiplier, SdlcMultiplier, SignMagnitude, SignedMultiplier};
 use sdlc::netlist::Netlist;
 use sdlc::sim::activity::random_activity_with_engine;
 use sdlc::sim::equiv::{
-    check_exhaustive_signed_with_engine, check_exhaustive_with_engine,
+    check_exhaustive_batched, check_exhaustive_signed_with_engine, check_exhaustive_with_engine,
     check_sampled_signed_with_engine, check_sampled_with_engine,
 };
 use sdlc::sim::{BitParallelSim, CompiledNetlist, CompiledSim, Engine, LogicSim};
-use sdlc::wideint::{SplitMix64, U256};
+use sdlc::wideint::{SplitMix64, I256, U256};
 
 /// Builds a random feed-forward gate DAG: `inputs` primary inputs, then
 /// `ops` gates whose kinds and source nets are decoded from the seeds.
@@ -300,4 +300,278 @@ fn planted_wide_bug_yields_identical_first_counterexample() {
             .unwrap_err();
     assert_eq!(scalar, compiled);
     assert!(scalar.a < 0 && scalar.b >= 1 << 62, "{scalar}");
+}
+
+proptest! {
+    /// One 8-word evaluation of the compiled program (the equivalence
+    /// sweeps' 512-lane executor) equals eight sequential 64-lane
+    /// evaluations, word by word, on every net.
+    #[test]
+    fn eight_word_evaluation_matches_eight_single_words(
+        inputs in 1u32..7,
+        ops in prop::collection::vec((any::<u8>(), any::<u32>(), any::<u32>(), any::<u32>()), 1..48),
+        seed in any::<u64>(),
+    ) {
+        let n = random_dag(inputs, &ops);
+        let program = CompiledNetlist::compile(&n);
+        let mut rng = SplitMix64::new(seed);
+        let words: Vec<Vec<u64>> = (0..8)
+            .map(|_| (0..inputs).map(|_| rng.next_u64()).collect())
+            .collect();
+        // Input-major: the 8 words of input `i` sit at `8i .. 8i + 8`.
+        let stimulus: Vec<u64> = (0..inputs as usize)
+            .flat_map(|i| words.iter().map(move |word| word[i]))
+            .collect();
+        let mut wide = CompiledSim::<8>::wide(&program);
+        wide.evaluate(&stimulus);
+        let mut single = CompiledSim::new(&program);
+        for (w, word) in words.iter().enumerate() {
+            single.evaluate(word);
+            for gate in n.gates() {
+                prop_assert_eq!(
+                    wide.planes(gate.output)[w],
+                    single.plane(gate.output),
+                    "net {} word {}", gate.output, w
+                );
+            }
+        }
+    }
+}
+
+/// An exact `width`-bit Wallace multiplier; any width from 1 bit up.
+fn exact_multiplier(width: u32) -> Netlist {
+    use sdlc::netlist::reduce::{rows_to_columns, wallace, RowBits};
+    let mut n = Netlist::new("exact");
+    let a = n.add_input_bus("a", width);
+    let b = n.add_input_bus("b", width);
+    let rows: Vec<RowBits> = b
+        .iter()
+        .enumerate()
+        .map(|(k, &bk)| {
+            let bits = a.iter().map(|&aj| n.and2(aj, bk)).collect();
+            RowBits { offset: k, bits }
+        })
+        .collect();
+    let columns = rows_to_columns(&rows, 2 * width as usize);
+    let p = wallace(&mut n, columns);
+    n.set_output_bus("p", p);
+    n
+}
+
+/// Row-major planted-bug positions for an exhaustive `width`-bit sweep:
+/// one pair in every word position of a 512-lane group (64-lane block
+/// `8g + w` of the sweep, in the second group where the sweep has one),
+/// plus the very last pair, which sits in the last — possibly partial —
+/// group of the last chunk.
+fn planted_positions(width: u32) -> Vec<u64> {
+    let count = 1u64 << width;
+    let blocks_per_row = count.div_ceil(64);
+    let blocks = count * blocks_per_row;
+    let group = u64::from(blocks >= 16);
+    let mut positions: Vec<u64> = (0..8)
+        .map(|w| 8 * group + w)
+        .filter(|&k| k < blocks)
+        .map(|k| {
+            let (a, b0) = (k / blocks_per_row, (k % blocks_per_row) * 64);
+            let valid = (count - b0).min(64);
+            a * count + b0 + (k * 7) % valid
+        })
+        .collect();
+    positions.push(count * count - 1);
+    positions
+}
+
+/// At widths 2–7, where 512-lane groups span rows, the exact model passes
+/// on both engines; and a model bug planted at row-major pair index `at`
+/// and every pair after it — so later words of the group, later groups
+/// and later chunks fail too — must surface as the same first
+/// counterexample (the planted pair) on both engines: per-pair, batched
+/// and signed.
+#[test]
+fn planted_bug_in_every_group_word_yields_identical_first_counterexample() {
+    for width in 2u32..=7 {
+        let count = 1u64 << width;
+        let netlist = exact_multiplier(width);
+        let signed_netlist = signed_multiplier(&netlist, width);
+        for engine in [Engine::Scalar, Engine::Compiled] {
+            let exact = |a: u128, b: u128| U256::from_u128(a * b);
+            check_exhaustive_with_engine(&netlist, width, exact, engine).unwrap();
+            let exact_block = |a: u64, b0: u64, out: &mut [u64; 64]| {
+                for (i, lane) in out.iter_mut().enumerate() {
+                    *lane = a * ((b0 + i as u64) % count);
+                }
+            };
+            check_exhaustive_batched(&netlist, width, exact_block, engine).unwrap();
+            let exact_signed = |a: i128, b: i128| I256::from_i128(a * b);
+            check_exhaustive_signed_with_engine(&signed_netlist, width, exact_signed, engine)
+                .unwrap();
+        }
+        for at in planted_positions(width) {
+            let (bug_a, bug_b) = (at / count, at % count);
+            let hit = |a: u64, b: u64| a * count + b >= at;
+            let wrong = |a: u128, b: u128| {
+                let p = U256::from_u128(a * b);
+                if hit(a as u64, b as u64) {
+                    p ^ U256::ONE
+                } else {
+                    p
+                }
+            };
+            let scalar =
+                check_exhaustive_with_engine(&netlist, width, wrong, Engine::Scalar).unwrap_err();
+            let compiled =
+                check_exhaustive_with_engine(&netlist, width, wrong, Engine::Compiled).unwrap_err();
+            assert_eq!(scalar, compiled, "width {width} at {at}");
+            assert_eq!((scalar.a, scalar.b), (u128::from(bug_a), u128::from(bug_b)));
+
+            let wrong_block = |a: u64, b0: u64, out: &mut [u64; 64]| {
+                for (i, lane) in out.iter_mut().enumerate() {
+                    let b = b0 + i as u64;
+                    *lane = (a * (b % count)) ^ u64::from(b < count && hit(a, b));
+                }
+            };
+            let scalar =
+                check_exhaustive_batched(&netlist, width, wrong_block, Engine::Scalar).unwrap_err();
+            let compiled = check_exhaustive_batched(&netlist, width, wrong_block, Engine::Compiled)
+                .unwrap_err();
+            assert_eq!(scalar, compiled, "batched width {width} at {at}");
+            assert_eq!((scalar.a, scalar.b), (u128::from(bug_a), u128::from(bug_b)));
+
+            let mask = count as i128 - 1;
+            let wrong_signed = |a: i128, b: i128| {
+                let p = I256::from_i128(a * b);
+                if hit((a & mask) as u64, (b & mask) as u64) {
+                    p.wrapping_add(&I256::from_i128(1))
+                } else {
+                    p
+                }
+            };
+            let scalar = check_exhaustive_signed_with_engine(
+                &signed_netlist,
+                width,
+                wrong_signed,
+                Engine::Scalar,
+            )
+            .unwrap_err();
+            let compiled = check_exhaustive_signed_with_engine(
+                &signed_netlist,
+                width,
+                wrong_signed,
+                Engine::Compiled,
+            )
+            .unwrap_err();
+            assert_eq!(scalar, compiled, "signed width {width} at {at}");
+            assert_eq!(
+                ((scalar.a & mask) as u64, (scalar.b & mask) as u64),
+                (bug_a, bug_b)
+            );
+        }
+    }
+}
+
+/// A pass-through netlist: `p` is the concatenation `a ‖ b` of two
+/// `width`-bit operand buses, so the product bus echoes every pair.
+fn echo_netlist(width: u32) -> Netlist {
+    let mut n = Netlist::new("echo");
+    let a = n.add_input_bus("a", width);
+    let b = n.add_input_bus("b", width);
+    n.set_output_bus("p", a.into_iter().chain(b).collect());
+    n
+}
+
+/// `a ‖ b` as the echo netlist's unsigned product.
+fn echo(width: u32, a: u128, b: u128) -> U256 {
+    U256::from_u128(a) | (U256::from_u128(b) << width)
+}
+
+/// The compiled engine streams sampled pairs group by group from the
+/// seed instead of materializing the sequence. At sample counts around
+/// the 64-lane word and 512-lane group boundaries, unsigned and signed,
+/// with operands up to and past 64 bits, it must see exactly the pairs
+/// the scalar engine iterates, and report the same first counterexample
+/// wherever the bug is planted.
+#[test]
+fn streamed_sampled_pairs_match_the_materialized_sequence() {
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+    for width in [5u32, 64, 70] {
+        let netlist = echo_netlist(width);
+        let mask = if width == 128 {
+            u128::MAX
+        } else {
+            (1u128 << width) - 1
+        };
+        for samples in [0u64, 1, 63, 64, 511, 513] {
+            for signed in [false, true] {
+                // Every pair each engine evaluates, as operand patterns.
+                let record = |engine: Engine, fail: &HashSet<(u128, u128)>| {
+                    let seen = Mutex::new(Vec::new());
+                    let verdict = if signed {
+                        check_sampled_signed_with_engine(
+                            &netlist,
+                            width,
+                            samples,
+                            17,
+                            |a, b| {
+                                let pattern = (a as u128 & mask, b as u128 & mask);
+                                seen.lock().unwrap().push(pattern);
+                                let raw = echo(width, pattern.0, pattern.1);
+                                let p = I256::from_twos_complement(&raw, 2 * width);
+                                if fail.contains(&pattern) {
+                                    p.wrapping_add(&I256::from_i128(1))
+                                } else {
+                                    p
+                                }
+                            },
+                            engine,
+                        )
+                        .err()
+                        .map(|m| (m.a as u128 & mask, m.b as u128 & mask))
+                    } else {
+                        check_sampled_with_engine(
+                            &netlist,
+                            width,
+                            samples,
+                            17,
+                            |a, b| {
+                                seen.lock().unwrap().push((a, b));
+                                echo(width, a, b)
+                                    ^ U256::from_u128(u128::from(fail.contains(&(a, b))))
+                            },
+                            engine,
+                        )
+                        .err()
+                        .map(|m| (m.a, m.b))
+                    };
+                    (seen.into_inner().unwrap(), verdict)
+                };
+                let (sequence, verdict) = record(Engine::Scalar, &HashSet::new());
+                let corners = if signed { 25 } else { 9 };
+                assert_eq!(sequence.len() as u64, corners + samples);
+                assert_eq!(verdict, None);
+                let (mut streamed, verdict) = record(Engine::Compiled, &HashSet::new());
+                assert_eq!(verdict, None);
+                let mut materialized = sequence.clone();
+                materialized.sort_unstable();
+                streamed.sort_unstable();
+                assert_eq!(streamed, materialized, "width {width} samples {samples}");
+                // Fail every pair from position `at` on: both engines stop
+                // at the same pair, the scalar sequence's first failing one.
+                let last = sequence.len() - 1;
+                for at in [0, 1, 8, 24, 63, 64, 511, 512, last] {
+                    if at > last {
+                        continue;
+                    }
+                    let fail: HashSet<_> = sequence[at..].iter().copied().collect();
+                    let scalar = record(Engine::Scalar, &fail).1;
+                    let compiled = record(Engine::Compiled, &fail).1;
+                    assert!(scalar.is_some());
+                    assert_eq!(
+                        scalar, compiled,
+                        "width {width} samples {samples} signed {signed} at {at}"
+                    );
+                }
+            }
+        }
+    }
 }
