@@ -73,7 +73,7 @@ fn main() {
          savings grow with width (glitch suppression in the halved accumulation tree); \
          energy (PDP) compounds power and delay as the paper's largest gain. Area, \
          leakage and delay savings are width-stable in this flow because both designs \
-         get identical gate-level mapping without timing-driven resizing — see \
-         EXPERIMENTS.md for the calibration discussion."
+         get identical gate-level mapping without timing-driven resizing, so they \
+         do not grow with width as the paper's do."
     );
 }

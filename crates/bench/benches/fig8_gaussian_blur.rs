@@ -89,7 +89,8 @@ fn main() {
     println!(
         "\nshape check: PSNR falls monotonically with depth while energy saving \
          grows — the paper's trade-off. Absolute PSNR depends on the (unpublished) \
-         kernel quantization; see EXPERIMENTS.md."
+         kernel quantization: weights whose set bits share a logic cluster collide, \
+         the others multiply exactly."
     );
 }
 

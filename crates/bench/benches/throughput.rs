@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sdlc_core::baselines::{EtmMultiplier, KulkarniMultiplier};
 use sdlc_core::batch::{BatchMultiplier, Batchable, LANES};
-use sdlc_core::error::{exhaustive_bitsliced_with_threads, exhaustive_with_threads};
+use sdlc_core::error::{evaluate, Coverage, Engine};
 use sdlc_core::{AccurateMultiplier, Multiplier, SdlcMultiplier};
 use sdlc_netlist::GateKind;
 use sdlc_sim::{BitParallelSim, LogicSim};
@@ -94,10 +94,10 @@ fn bench_exhaustive_metrics(c: &mut Criterion) {
     let mut group = c.benchmark_group("exhaustive_metrics_8bit_sdlc_d2");
     group.throughput(Throughput::Elements(1 << 16));
     group.bench_function("engine_scalar", |b| {
-        b.iter(|| exhaustive_with_threads(&model, 1).unwrap())
+        b.iter(|| evaluate(&model, Coverage::Exhaustive, Engine::Scalar, 1).unwrap())
     });
     group.bench_function("engine_bitsliced", |b| {
-        b.iter(|| exhaustive_bitsliced_with_threads(&model, 1).unwrap())
+        b.iter(|| evaluate(&model, Coverage::Exhaustive, Engine::BitSliced, 1).unwrap())
     });
     group.finish();
 }
@@ -138,10 +138,10 @@ fn bench_engine_ratios(_: &mut Criterion) {
         std::hint::black_box(fold);
     });
     let scalar_metrics = best(&|| {
-        std::hint::black_box(exhaustive_with_threads(&model, 1).unwrap());
+        std::hint::black_box(evaluate(&model, Coverage::Exhaustive, Engine::Scalar, 1).unwrap());
     });
     let bitsliced_metrics = best(&|| {
-        std::hint::black_box(exhaustive_bitsliced_with_threads(&model, 1).unwrap());
+        std::hint::black_box(evaluate(&model, Coverage::Exhaustive, Engine::BitSliced, 1).unwrap());
     });
     println!(
         "engine ratios, 8-bit SDLC d2 exhaustive, 1 thread: products {:.1}x \

@@ -5,8 +5,9 @@
 //! (`0–1 %`, `1–2 %`, …, `33–34 %`). The exact results (`RED = 0`) dominate
 //! the leftmost bin, and the mass shifts left as the width grows.
 
-use crate::batch::Batchable;
-use crate::error::evaluate::{parallel_chunks, sweep_blocks, Engine};
+use sdlc_wideint::parallel::parallel_chunks;
+
+use crate::error::evaluate::default_threads;
 use crate::multiplier::Multiplier;
 
 /// Number of 1 %-wide bins; the paper's x-axis runs 0–34 %.
@@ -48,8 +49,7 @@ impl RedHistogram {
             "exhaustive histogram limited to 16-bit multipliers"
         );
         let count: u64 = 1u64 << width;
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let partials = parallel_chunks(count, threads, |lo, hi| {
+        let partials = parallel_chunks(count, default_threads(), |lo, hi| {
             let mut hist = RedHistogram::empty();
             for a in lo..hi {
                 for b in 0..count {
@@ -58,54 +58,6 @@ impl RedHistogram {
                     hist.record(exact, approx);
                 }
             }
-            hist
-        });
-        let mut total = RedHistogram::empty();
-        for p in &partials {
-            total.merge(p);
-        }
-        total
-    }
-
-    /// [`RedHistogram::exhaustive`] dispatched on an [`Engine`]; the
-    /// bit-sliced path evaluates 64 pairs per pass and bins the same
-    /// products, so the counts are identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the multiplier is wider than 16 bits.
-    #[must_use]
-    pub fn exhaustive_with_engine<M: Batchable + Sync>(multiplier: &M, engine: Engine) -> Self {
-        match engine {
-            Engine::Scalar => Self::exhaustive(multiplier),
-            Engine::BitSliced => Self::exhaustive_bitsliced(multiplier),
-        }
-    }
-
-    /// Builds the exhaustive histogram through the bit-sliced 64-lane
-    /// engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the multiplier is wider than 16 bits.
-    #[must_use]
-    pub fn exhaustive_bitsliced<M: Batchable + Sync>(multiplier: &M) -> Self {
-        let width = multiplier.width();
-        assert!(
-            width <= 16,
-            "exhaustive histogram limited to 16-bit multipliers"
-        );
-        let count: u64 = 1u64 << width;
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let partials = parallel_chunks(count, threads, |lo, hi| {
-            let batch = multiplier.batch_model();
-            let mut hist = RedHistogram::empty();
-            sweep_blocks(&batch, lo, hi, count, |a, b0, valid, approx| {
-                for (i, &p) in approx.iter().enumerate().take(valid) {
-                    let exact = u128::from(a) * u128::from(b0 + i as u64);
-                    hist.record(exact, u128::from(p));
-                }
-            });
             hist
         });
         let mut total = RedHistogram::empty();
@@ -243,16 +195,6 @@ mod tests {
         assert_eq!(h.probability(0), 1.0);
         assert_eq!(h.last_occupied_bin(), Some(0));
         assert_eq!(h.overflow_probability(), 0.0);
-    }
-
-    #[test]
-    fn bitsliced_histogram_is_identical() {
-        for depth in [2u32, 4] {
-            let m = SdlcMultiplier::new(8, depth).unwrap();
-            let scalar = RedHistogram::exhaustive_with_engine(&m, Engine::Scalar);
-            let bitsliced = RedHistogram::exhaustive_with_engine(&m, Engine::BitSliced);
-            assert_eq!(scalar, bitsliced, "depth {depth}");
-        }
     }
 
     #[test]

@@ -10,35 +10,37 @@
 //! * `MED = Σ ED / 2^{2N}`, `NMED = MED / Pmax` with `Pmax = (2^N − 1)²`;
 //! * `MRED = Σ RED / 2^{2N}`; plus the observed maxima `MAX(RED)`/`MAX(ED)`.
 //!
-//! [`exhaustive`] runs exhaustive sweeps (every operand pair, as the paper
-//! does up to 16 bits) and [`sampled`]/[`sampled_with_operands`] seeded
-//! Monte-Carlo sampling, in parallel; [`RedHistogram`] reproduces the RED
-//! probability distribution of Figure 5; [`error_rate_depth2`] and
+//! [`evaluate`] and [`evaluate_signed`] are the one error sweep, for
+//! unsigned and two's-complement models: a [`Coverage`] (every operand
+//! pair, as the paper does up to 16 bits, or a seeded Monte-Carlo sample),
+//! an [`Engine`] (the scalar per-pair path, or the bit-sliced 64-lane path
+//! of [`crate::batch`] that packs 64 multiplications into word-wide
+//! boolean ops) and a worker-thread count. [`exhaustive`] and [`sampled`]
+//! run the scalar engine on all cores for any [`crate::Multiplier`],
+//! bit-sliced twin or not; the `_with_engine` forms run either engine on
+//! all cores; [`sampled_with_operands`] draws from a caller-supplied
+//! operand distribution. [`RedHistogram`] reproduces the RED probability
+//! distribution of Figure 5; [`error_rate_depth2`] and
 //! [`mean_error_distance`] derive error statistics exactly, independent of
 //! simulation.
 //!
-//! The sweeping drivers run on either [`Engine`]: the scalar per-pair
-//! path, or the bit-sliced 64-lane path of [`crate::batch`] that packs 64
-//! multiplications into word-wide boolean ops. [`ErrorAccumulator`] sums
-//! error distances as integers and RED/RED² in a [`Superaccumulator`], so
-//! the metrics are exact sums rounded once — bit-identical across
-//! engines, thread counts and recording order.
+//! [`ErrorAccumulator`] sums error distances as integers and RED/RED² in a
+//! [`Superaccumulator`], so the metrics are exact sums rounded once —
+//! bit-identical across engines, thread counts and recording order.
 
 mod analytic;
 mod evaluate;
 mod histogram;
 mod metrics;
-mod signed;
 mod superacc;
 
 pub use analytic::{
     adjacent_ones_profile, error_rate_depth2, mean_error_distance, normalized_mean_error_distance,
 };
 pub use evaluate::{
-    exhaustive, exhaustive_bitsliced, exhaustive_bitsliced_with_threads, exhaustive_with_engine,
-    exhaustive_with_threads, sampled, sampled_bitsliced, sampled_bitsliced_with_threads,
-    sampled_with_engine, sampled_with_operands, sampled_with_threads, Engine, EvalError,
-    BITSLICED_EXHAUSTIVE_WIDTH_LIMIT, EXHAUSTIVE_WIDTH_LIMIT,
+    evaluate, evaluate_signed, exhaustive, exhaustive_signed_with_engine, exhaustive_with_engine,
+    sampled, sampled_signed_with_engine, sampled_with_engine, sampled_with_operands, Coverage,
+    Engine, EvalError, BITSLICED_EXHAUSTIVE_WIDTH_LIMIT, EXHAUSTIVE_WIDTH_LIMIT,
 };
 pub use histogram::{RedHistogram, RED_HISTOGRAM_BINS};
 pub use metrics::{ErrorAccumulator, ErrorMetrics};
@@ -46,10 +48,4 @@ pub use metrics::{ErrorAccumulator, ErrorMetrics};
 // re-exported so downstream sweeps (benches, external tools) can partition
 // work the exact same way and inherit the bit-identity guarantees.
 pub use sdlc_wideint::parallel::{parallel_chunks, parallel_shard_chunks};
-pub use signed::{
-    exhaustive_signed, exhaustive_signed_bitsliced, exhaustive_signed_bitsliced_with_threads,
-    exhaustive_signed_with_engine, exhaustive_signed_with_threads, sampled_signed,
-    sampled_signed_bitsliced, sampled_signed_bitsliced_with_threads, sampled_signed_with_engine,
-    sampled_signed_with_threads,
-};
 pub use superacc::Superaccumulator;

@@ -2,11 +2,14 @@
 //! driver panic contracts, for both evaluation engines.
 
 use sdlc_core::error::{
-    exhaustive, exhaustive_bitsliced, exhaustive_bitsliced_with_threads, exhaustive_with_threads,
-    sampled, sampled_bitsliced, sampled_bitsliced_with_threads, sampled_with_threads, EvalError,
-    BITSLICED_EXHAUSTIVE_WIDTH_LIMIT, EXHAUSTIVE_WIDTH_LIMIT,
+    evaluate, exhaustive, exhaustive_with_engine, sampled, sampled_with_engine, Coverage, Engine,
+    EvalError, BITSLICED_EXHAUSTIVE_WIDTH_LIMIT, EXHAUSTIVE_WIDTH_LIMIT,
 };
 use sdlc_core::{AccurateMultiplier, SdlcMultiplier, SpecError};
+
+fn sample(samples: u64, seed: u64) -> Coverage {
+    Coverage::Sampled { samples, seed }
+}
 
 #[test]
 fn spec_error_messages_name_the_constraint() {
@@ -39,7 +42,7 @@ fn width_too_large_messages_state_both_limits() {
     assert!(scalar.to_string().contains("2^64 cases"), "{scalar}");
     assert!(scalar.to_string().contains("at most 16-bit"), "{scalar}");
 
-    let bitsliced = exhaustive_bitsliced(&m).unwrap_err();
+    let bitsliced = exhaustive_with_engine(&m, Engine::BitSliced).unwrap_err();
     assert_eq!(
         bitsliced,
         EvalError::WidthTooLarge {
@@ -56,12 +59,13 @@ fn width_too_large_messages_state_both_limits() {
 #[test]
 fn bitsliced_sampling_rejects_models_beyond_the_plane_stack() {
     let wide = AccurateMultiplier::new(64).unwrap();
-    let err = sampled_bitsliced(&wide, 10, 1).unwrap_err();
+    let err = sampled_with_engine(&wide, 10, 1, Engine::BitSliced).unwrap_err();
     assert_eq!(
         err,
         EvalError::UnsupportedWidth {
             width: 64,
-            limit: 32
+            limit: 32,
+            engine: Engine::BitSliced
         }
     );
     assert!(err.to_string().contains("up to 32-bit"), "{err}");
@@ -73,9 +77,9 @@ fn zero_samples_are_rejected_by_every_sampler() {
     let m = SdlcMultiplier::new(8, 2).unwrap();
     for err in [
         sampled(&m, 0, 1).unwrap_err(),
-        sampled_bitsliced(&m, 0, 1).unwrap_err(),
-        sampled_with_threads(&m, 0, 1, 2).unwrap_err(),
-        sampled_bitsliced_with_threads(&m, 0, 1, 2).unwrap_err(),
+        sampled_with_engine(&m, 0, 1, Engine::BitSliced).unwrap_err(),
+        evaluate(&m, sample(0, 1), Engine::Scalar, 2).unwrap_err(),
+        evaluate(&m, sample(0, 1), Engine::BitSliced, 2).unwrap_err(),
     ] {
         assert_eq!(err, EvalError::NoSamples);
         assert!(err.to_string().contains("must be positive"), "{err}");
@@ -86,28 +90,28 @@ fn zero_samples_are_rejected_by_every_sampler() {
 #[should_panic(expected = "thread count must be positive")]
 fn scalar_exhaustive_rejects_zero_threads() {
     let m = SdlcMultiplier::new(4, 2).unwrap();
-    let _ = exhaustive_with_threads(&m, 0);
+    let _ = evaluate(&m, Coverage::Exhaustive, Engine::Scalar, 0);
 }
 
 #[test]
 #[should_panic(expected = "thread count must be positive")]
 fn bitsliced_exhaustive_rejects_zero_threads() {
     let m = SdlcMultiplier::new(4, 2).unwrap();
-    let _ = exhaustive_bitsliced_with_threads(&m, 0);
+    let _ = evaluate(&m, Coverage::Exhaustive, Engine::BitSliced, 0);
 }
 
 #[test]
 #[should_panic(expected = "thread count must be positive")]
 fn scalar_sampler_rejects_zero_threads() {
     let m = SdlcMultiplier::new(4, 2).unwrap();
-    let _ = sampled_with_threads(&m, 100, 1, 0);
+    let _ = evaluate(&m, sample(100, 1), Engine::Scalar, 0);
 }
 
 #[test]
 #[should_panic(expected = "thread count must be positive")]
 fn bitsliced_sampler_rejects_zero_threads() {
     let m = SdlcMultiplier::new(4, 2).unwrap();
-    let _ = sampled_bitsliced_with_threads(&m, 100, 1, 0);
+    let _ = evaluate(&m, sample(100, 1), Engine::BitSliced, 0);
 }
 
 #[test]
@@ -122,9 +126,8 @@ mod signed_paths {
     //! `i128::MIN`-style edges, and the signed drivers' limits.
 
     use sdlc_core::error::{
-        exhaustive_signed, exhaustive_signed_bitsliced, exhaustive_signed_with_threads,
-        sampled_signed, sampled_signed_bitsliced, EvalError, BITSLICED_EXHAUSTIVE_WIDTH_LIMIT,
-        EXHAUSTIVE_WIDTH_LIMIT,
+        evaluate_signed, exhaustive_signed_with_engine, sampled_signed_with_engine, Coverage,
+        Engine, EvalError, BITSLICED_EXHAUSTIVE_WIDTH_LIMIT, EXHAUSTIVE_WIDTH_LIMIT,
     };
     use sdlc_core::signed::{signed_accurate, signed_operand_range, signed_sdlc};
     use sdlc_core::{SignedMultiplier, SpecError};
@@ -201,34 +204,45 @@ mod signed_paths {
     fn signed_driver_limits_mirror_the_unsigned_ones() {
         let wide = signed_sdlc(32, 2).unwrap();
         assert_eq!(
-            exhaustive_signed(&wide).unwrap_err(),
+            exhaustive_signed_with_engine(&wide, Engine::Scalar).unwrap_err(),
             EvalError::WidthTooLarge {
                 width: 32,
                 limit: EXHAUSTIVE_WIDTH_LIMIT
             }
         );
         assert_eq!(
-            exhaustive_signed_bitsliced(&wide).unwrap_err(),
+            exhaustive_signed_with_engine(&wide, Engine::BitSliced).unwrap_err(),
             EvalError::WidthTooLarge {
                 width: 32,
                 limit: BITSLICED_EXHAUSTIVE_WIDTH_LIMIT
             }
         );
         assert_eq!(
-            sampled_signed(&wide, 0, 1).unwrap_err(),
+            sampled_signed_with_engine(&wide, 0, 1, Engine::Scalar).unwrap_err(),
             EvalError::NoSamples
         );
         let very_wide = signed_sdlc(64, 2).unwrap();
-        let err = sampled_signed(&very_wide, 100, 1).unwrap_err();
+        // Each engine's width error names the engine that ran.
+        let err = sampled_signed_with_engine(&very_wide, 100, 1, Engine::Scalar).unwrap_err();
+        assert_eq!(
+            err,
+            EvalError::UnsupportedWidth {
+                width: 64,
+                limit: 32,
+                engine: Engine::Scalar
+            }
+        );
+        assert!(err.to_string().contains("scalar engine"), "{err}");
+        assert!(!err.to_string().contains("bit-sliced"), "{err}");
+        let err = sampled_signed_with_engine(&very_wide, 100, 1, Engine::BitSliced).unwrap_err();
         assert!(matches!(err, EvalError::UnsupportedWidth { width: 64, .. }));
-        let err = sampled_signed_bitsliced(&very_wide, 100, 1).unwrap_err();
-        assert!(matches!(err, EvalError::UnsupportedWidth { width: 64, .. }));
+        assert!(err.to_string().contains("bit-sliced"), "{err}");
     }
 
     #[test]
     #[should_panic(expected = "thread count must be positive")]
     fn signed_exhaustive_rejects_zero_threads() {
         let m = signed_sdlc(4, 2).unwrap();
-        let _ = exhaustive_signed_with_threads(&m, 0);
+        let _ = evaluate_signed(&m, Coverage::Exhaustive, Engine::Scalar, 0);
     }
 }

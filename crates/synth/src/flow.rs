@@ -3,7 +3,7 @@
 use core::fmt;
 
 use sdlc_netlist::{passes, Netlist, NetlistStats};
-use sdlc_sim::activity::{random_activity_with_engine, timing_activity_with_engine};
+use sdlc_sim::activity::{random_activity, timing_activity_with_engine};
 use sdlc_sim::Engine;
 use sdlc_techlib::Library;
 
@@ -31,11 +31,6 @@ pub struct AnalysisOptions {
     /// time on large designs; the zero-delay estimate underrates deep
     /// arrays when disabled.
     pub glitch_power: bool,
-    /// Zero-delay activity engine (ignored when `glitch_power` captures
-    /// through the event-driven engine instead). The compiled program is
-    /// the default fast path; the structural engine produces bit-identical
-    /// toggle totals and serves as the differential reference.
-    pub activity_engine: Engine,
     /// Glitch-activity engine used when `glitch_power` is set. The
     /// compiled word-parallel backend (64 lane streams per sweep,
     /// identical inertial-delay transition accounting) is the default; the
@@ -52,7 +47,6 @@ impl Default for AnalysisOptions {
             activity_vectors: 512,
             seed: 0x5D_1C,
             glitch_power: true,
-            activity_engine: Engine::Compiled,
             glitch_engine: Engine::Compiled,
         }
     }
@@ -188,12 +182,7 @@ pub fn analyze(
             options.glitch_engine,
         )
     } else {
-        random_activity_with_engine(
-            &netlist,
-            options.seed,
-            options.activity_vectors,
-            options.activity_engine,
-        )
+        random_activity(&netlist, options.seed, options.activity_vectors)
     };
     let energy = dynamic_energy_fj_per_op(&netlist, library, &activity);
     let delay = timing.critical_delay_ps();
@@ -268,23 +257,6 @@ mod tests {
         let r1 = analyze(adder(8), &lib, &options);
         let r2 = analyze(adder(8), &lib, &options);
         assert_eq!(r1, r2);
-    }
-
-    #[test]
-    fn zero_delay_reports_match_across_activity_engines() {
-        let lib = Library::generic_90nm();
-        let compiled = analyze(adder(10), &lib, &AnalysisOptions::zero_delay());
-        let structural = analyze(
-            adder(10),
-            &lib,
-            &AnalysisOptions {
-                activity_engine: Engine::Scalar,
-                ..AnalysisOptions::zero_delay()
-            },
-        );
-        // The compiled program and the structural walk count identical
-        // toggles, so the whole power report is bit-identical.
-        assert_eq!(compiled, structural);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 use proptest::prelude::*;
 use sdlc::core::batch::LANES;
 use sdlc::core::error::{
-    exhaustive_bitsliced_with_threads, exhaustive_signed_bitsliced_with_threads,
-    exhaustive_with_threads, ErrorAccumulator, ErrorMetrics, Superaccumulator,
+    evaluate, evaluate_signed, Coverage, Engine, ErrorAccumulator, ErrorMetrics, Superaccumulator,
 };
 use sdlc::core::signed::signed_sdlc;
 use sdlc::core::{Multiplier, SdlcMultiplier, SignedMultiplier};
@@ -403,16 +402,19 @@ fn worst_red_tie_break_ignores_order() {
 #[cfg_attr(debug_assertions, ignore = "14-bit sweeps run in the release CI step")]
 fn exhaustive_14_bit_is_thread_count_invariant() {
     let m = SdlcMultiplier::new(14, 2).unwrap();
-    let one = exhaustive_bitsliced_with_threads(&m, 1).unwrap();
-    for threads in [2, 7] {
-        assert_eq!(one, exhaustive_bitsliced_with_threads(&m, threads).unwrap());
-    }
-    let signed = signed_sdlc(12, 3).unwrap();
-    let one = exhaustive_signed_bitsliced_with_threads(&signed, 1).unwrap();
+    let one = evaluate(&m, Coverage::Exhaustive, Engine::BitSliced, 1).unwrap();
     for threads in [2, 7] {
         assert_eq!(
             one,
-            exhaustive_signed_bitsliced_with_threads(&signed, threads).unwrap()
+            evaluate(&m, Coverage::Exhaustive, Engine::BitSliced, threads).unwrap()
+        );
+    }
+    let signed = signed_sdlc(12, 3).unwrap();
+    let one = evaluate_signed(&signed, Coverage::Exhaustive, Engine::BitSliced, 1).unwrap();
+    for threads in [2, 7] {
+        assert_eq!(
+            one,
+            evaluate_signed(&signed, Coverage::Exhaustive, Engine::BitSliced, threads).unwrap()
         );
     }
 }
@@ -427,7 +429,7 @@ fn exhaustive_14_bit_is_thread_count_invariant() {
 fn engines_agree_across_thread_splits() {
     let m = SdlcMultiplier::new(12, 4).unwrap();
     assert_eq!(
-        exhaustive_with_threads(&m, 1).unwrap(),
-        exhaustive_bitsliced_with_threads(&m, 7).unwrap()
+        evaluate(&m, Coverage::Exhaustive, Engine::Scalar, 1).unwrap(),
+        evaluate(&m, Coverage::Exhaustive, Engine::BitSliced, 7).unwrap()
     );
 }

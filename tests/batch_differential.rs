@@ -13,7 +13,7 @@
 
 use sdlc::core::baselines::{EtmMultiplier, KulkarniMultiplier, TruncatedMultiplier};
 use sdlc::core::batch::{BatchMultiplier, Batchable, LANES};
-use sdlc::core::error::{exhaustive_bitsliced_with_threads, exhaustive_with_threads};
+use sdlc::core::error::{evaluate, Coverage, Engine, ErrorMetrics};
 use sdlc::core::{AccurateMultiplier, ClusterVariant, Multiplier, SdlcMultiplier};
 use sdlc::wideint::SplitMix64;
 
@@ -137,28 +137,30 @@ fn exhaustive_8bit_metrics_bit_identical() {
     for variant in VARIANTS {
         for depth in DEPTHS {
             let model = SdlcMultiplier::with_variant(8, depth, variant).unwrap();
-            let scalar = exhaustive_with_threads(&model, threads).unwrap();
-            let bitsliced = exhaustive_bitsliced_with_threads(&model, threads).unwrap();
+            let (scalar, bitsliced) = exhaustive_on_both_engines(&model, threads);
             assert_eq!(scalar, bitsliced, "{}", model.name());
             assert_eq!(scalar.samples, 1 << 16);
         }
     }
-    let accurate = AccurateMultiplier::new(8).unwrap();
-    assert_eq!(
-        exhaustive_with_threads(&accurate, threads).unwrap(),
-        exhaustive_bitsliced_with_threads(&accurate, threads).unwrap()
-    );
-    assert_eq!(
-        exhaustive_with_threads(&EtmMultiplier::new(8).unwrap(), threads).unwrap(),
-        exhaustive_bitsliced_with_threads(&EtmMultiplier::new(8).unwrap(), threads).unwrap()
-    );
-    assert_eq!(
-        exhaustive_with_threads(&KulkarniMultiplier::new(8).unwrap(), threads).unwrap(),
-        exhaustive_bitsliced_with_threads(&KulkarniMultiplier::new(8).unwrap(), threads).unwrap()
-    );
-    assert_eq!(
-        exhaustive_with_threads(&TruncatedMultiplier::new(8, 6).unwrap(), threads).unwrap(),
-        exhaustive_bitsliced_with_threads(&TruncatedMultiplier::new(8, 6).unwrap(), threads)
-            .unwrap()
-    );
+    let (scalar, bitsliced) =
+        exhaustive_on_both_engines(&AccurateMultiplier::new(8).unwrap(), threads);
+    assert_eq!(scalar, bitsliced);
+    let (scalar, bitsliced) = exhaustive_on_both_engines(&EtmMultiplier::new(8).unwrap(), threads);
+    assert_eq!(scalar, bitsliced);
+    let (scalar, bitsliced) =
+        exhaustive_on_both_engines(&KulkarniMultiplier::new(8).unwrap(), threads);
+    assert_eq!(scalar, bitsliced);
+    let (scalar, bitsliced) =
+        exhaustive_on_both_engines(&TruncatedMultiplier::new(8, 6).unwrap(), threads);
+    assert_eq!(scalar, bitsliced);
+}
+
+/// The scalar and bit-sliced exhaustive metrics of `model` at the same
+/// thread count.
+fn exhaustive_on_both_engines<M: Batchable + Sync>(
+    model: &M,
+    threads: usize,
+) -> (ErrorMetrics, ErrorMetrics) {
+    let on = |engine| evaluate(model, Coverage::Exhaustive, engine, threads).unwrap();
+    (on(Engine::Scalar), on(Engine::BitSliced))
 }

@@ -89,6 +89,27 @@ fn errors_supports_the_signed_domain_on_both_engines() {
 }
 
 #[test]
+fn signed_sampling_width_errors_name_the_engine_that_ran() {
+    // 64-bit signed sampling is past both engines' 32-bit limit; the
+    // message must name the engine the user selected.
+    let (_, scalar, ok) = run(&["errors", "--width", "64", "--signed"]);
+    assert!(!ok);
+    assert!(scalar.contains("scalar engine"), "{scalar}");
+    assert!(scalar.contains("up to 32-bit, got 64-bit"), "{scalar}");
+    assert!(!scalar.contains("bit-sliced"), "{scalar}");
+    let (_, bitsliced, ok) = run(&[
+        "errors",
+        "--width",
+        "64",
+        "--signed",
+        "--engine",
+        "bitsliced",
+    ]);
+    assert!(!ok);
+    assert!(bitsliced.contains("bit-sliced engine"), "{bitsliced}");
+}
+
+#[test]
 fn verify_checks_netlists_on_both_engines() {
     // Default engine is the compiled word-parallel sweep.
     let (stdout, _, ok) = run(&["verify", "--width", "8", "--depth", "2"]);

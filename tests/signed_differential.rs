@@ -17,10 +17,7 @@
 
 use sdlc::core::baselines::{EtmMultiplier, KulkarniMultiplier, TruncatedMultiplier};
 use sdlc::core::batch::{SignedBatchMultiplier, LANES};
-use sdlc::core::error::{
-    exhaustive_signed_bitsliced_with_threads, exhaustive_signed_with_threads,
-    sampled_signed_bitsliced_with_threads, sampled_signed_with_threads,
-};
+use sdlc::core::error::{evaluate_signed, Coverage, Engine};
 use sdlc::core::signed::signed_operand_range;
 use sdlc::core::{
     AccurateMultiplier, Batchable, ClusterVariant, Multiplier, SdlcMultiplier, SignMagnitude,
@@ -177,8 +174,9 @@ fn exhaustive_8bit_metrics_are_bit_identical_for_all_variants() {
         for depth in DEPTHS {
             let signed =
                 SignMagnitude::new(SdlcMultiplier::with_variant(8, depth, variant).unwrap());
-            let scalar = exhaustive_signed_with_threads(&signed, 3).unwrap();
-            let bitsliced = exhaustive_signed_bitsliced_with_threads(&signed, 3).unwrap();
+            let scalar = evaluate_signed(&signed, Coverage::Exhaustive, Engine::Scalar, 3).unwrap();
+            let bitsliced =
+                evaluate_signed(&signed, Coverage::Exhaustive, Engine::BitSliced, 3).unwrap();
             assert_eq!(scalar, bitsliced, "{} (depth {depth})", signed.name());
             assert!(scalar.signed);
             assert_eq!(scalar.samples, 1 << 16);
@@ -206,8 +204,8 @@ where
     M: Multiplier + Batchable + Sync,
 {
     fn assert_engines_agree(&self) {
-        let scalar = exhaustive_signed_with_threads(self, 2).unwrap();
-        let bitsliced = exhaustive_signed_bitsliced_with_threads(self, 2).unwrap();
+        let scalar = evaluate_signed(self, Coverage::Exhaustive, Engine::Scalar, 2).unwrap();
+        let bitsliced = evaluate_signed(self, Coverage::Exhaustive, Engine::BitSliced, 2).unwrap();
         assert_eq!(scalar, bitsliced, "{}", self.name());
     }
 }
@@ -216,8 +214,12 @@ where
 fn sampled_metrics_are_bit_identical_at_every_width() {
     for width in WIDTHS {
         let signed = SignMagnitude::new(SdlcMultiplier::new(width, 2).unwrap());
-        let scalar = sampled_signed_with_threads(&signed, 30_000, 0xBEEF, 4).unwrap();
-        let bitsliced = sampled_signed_bitsliced_with_threads(&signed, 30_000, 0xBEEF, 4).unwrap();
+        let coverage = Coverage::Sampled {
+            samples: 30_000,
+            seed: 0xBEEF,
+        };
+        let scalar = evaluate_signed(&signed, coverage, Engine::Scalar, 4).unwrap();
+        let bitsliced = evaluate_signed(&signed, coverage, Engine::BitSliced, 4).unwrap();
         assert_eq!(scalar, bitsliced, "width {width}");
         assert_eq!(scalar.samples, 30_000);
     }
