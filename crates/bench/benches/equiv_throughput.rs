@@ -1,14 +1,14 @@
-//! Gate-level engine throughput: scalar vs compiled equivalence checking
-//! and activity estimation — not a paper experiment, but the performance
-//! budget that turns exhaustive netlist-vs-model verification from an
-//! 8-bit ceiling into routine 10-bit (and large sampled) material.
+//! Gate-level engine throughput: scalar vs compiled equivalence checking —
+//! not a paper experiment, but the performance budget that turns
+//! exhaustive netlist-vs-model verification from an 8-bit ceiling into
+//! routine 10-bit (and large sampled) material.
 //!
 //! For each width in {4, 6, 8, 10} and each design family (accurate,
-//! SDLC d2, SDLC d4), the harness times `check_exhaustive` on both
-//! engines and reports vectors/s plus the compiled speedup; then sampled
-//! equivalence at 16 bits and switching-activity sweeps. The two engines'
-//! verdicts (and toggle totals) are asserted identical along the way, so
-//! the bench doubles as a coarse differential test.
+//! SDLC d2, SDLC d4), the harness times an exhaustive `check` with a
+//! per-pair model on both engines and reports vectors/s plus the compiled
+//! speedup; then sampled equivalence at 16 bits. The two engines'
+//! verdicts are asserted identical along the way, so the bench doubles as
+//! a coarse differential test.
 //!
 //! The last section times the path `sdlc-cli verify --width 12 --scheme
 //! all` takes — the batched exhaustive check of 12-bit SDLC d2, 2^24
@@ -27,10 +27,7 @@ use sdlc_core::batch::exhaustive_block;
 use sdlc_core::circuits::{accurate_multiplier, sdlc_multiplier, ReductionScheme};
 use sdlc_core::{Batchable, Multiplier, SdlcMultiplier};
 use sdlc_netlist::Netlist;
-use sdlc_sim::activity::random_activity_with_engine;
-use sdlc_sim::equiv::{
-    check_exhaustive_batched, check_exhaustive_with_engine, check_sampled_with_engine,
-};
+use sdlc_sim::equiv::{check, Batched, Sweep};
 use sdlc_sim::Engine;
 use sdlc_wideint::U256;
 
@@ -92,12 +89,11 @@ fn verify12_rows() {
         let t = (0..3)
             .map(|_| {
                 let (verdict, t) = timed(|| {
-                    check_exhaustive_batched(
-                        &netlist,
-                        12,
-                        |a, b0, out| exhaustive_block(&batch, a, b0, out),
-                        Engine::Compiled,
-                    )
+                    let reference = Batched {
+                        pair: |a, b| model.multiply(a, b),
+                        block: |a, b0, out: &mut [u64; 64]| exhaustive_block(&batch, a, b0, out),
+                    };
+                    check(&netlist, 12, Sweep::Exhaustive, reference, Engine::Compiled)
                 });
                 verdict.expect("generators match their models");
                 t
@@ -121,7 +117,7 @@ fn main() {
         return;
     }
     banner(
-        "Equivalence & activity throughput: scalar vs compiled gate engine",
+        "Equivalence throughput: scalar vs compiled gate engine",
         "engineering benchmark (no paper counterpart)",
     );
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -136,10 +132,14 @@ fn main() {
                 println!("  {width:2}-bit {name:<9} skipped (SDLC_FAST)");
                 continue;
             }
-            let (scalar, t_scalar) =
-                timed(|| check_exhaustive_with_engine(&netlist, width, &model, Engine::Scalar));
-            let (compiled, t_compiled) =
-                timed(|| check_exhaustive_with_engine(&netlist, width, &model, Engine::Compiled));
+            let run = |engine| {
+                timed(|| {
+                    let sweep = Sweep::Exhaustive;
+                    check(&netlist, width, sweep, &model, engine)
+                })
+            };
+            let (scalar, t_scalar) = run(Engine::Scalar);
+            let (compiled, t_compiled) = run(Engine::Compiled);
             assert_eq!(scalar.is_ok(), compiled.is_ok(), "{name}: verdicts diverge");
             scalar.expect("generators match their models");
             let speedup = t_scalar / t_compiled;
@@ -167,10 +167,17 @@ fn main() {
 
     println!("\n== sampled equivalence (16-bit, 9 corners + 20000 seeded pairs) ==");
     for (name, netlist, model) in designs(16) {
-        let (scalar, t_scalar) =
-            timed(|| check_sampled_with_engine(&netlist, 16, 20_000, 7, &model, Engine::Scalar));
-        let (compiled, t_compiled) =
-            timed(|| check_sampled_with_engine(&netlist, 16, 20_000, 7, &model, Engine::Compiled));
+        let run = |engine| {
+            timed(|| {
+                let sweep = Sweep::Sampled {
+                    samples: 20_000,
+                    seed: 7,
+                };
+                check(&netlist, 16, sweep, &model, engine)
+            })
+        };
+        let (scalar, t_scalar) = run(Engine::Scalar);
+        let (compiled, t_compiled) = run(Engine::Compiled);
         assert_eq!(scalar.is_ok(), compiled.is_ok(), "{name}: verdicts diverge");
         scalar.expect("generators match their models");
         println!(
@@ -179,28 +186,6 @@ fn main() {
             20_009.0 / t_compiled / 1e3,
             t_scalar / t_compiled,
         );
-    }
-
-    println!("\n== switching-activity estimation (65536 random vectors) ==");
-    // The structural BitParallelSim is already 64-lane; the compiled win
-    // here is dispatch elimination, not lane packing — expect single-digit
-    // speedups with bit-identical toggle totals.
-    for width in [8u32, 16] {
-        for (name, netlist, _) in designs(width) {
-            let vectors = 1u64 << 16;
-            let (structural, t_structural) =
-                timed(|| random_activity_with_engine(&netlist, 0xAC, vectors, Engine::Scalar));
-            let (compiled, t_compiled) =
-                timed(|| random_activity_with_engine(&netlist, 0xAC, vectors, Engine::Compiled));
-            assert_eq!(structural, compiled, "{name}: toggle totals diverge");
-            println!(
-                "  {width:2}-bit {name:<9} structural {:>7.2} Mvec/s  compiled {:>7.2} Mvec/s  \
-                 speedup {:>5.2}x",
-                vectors as f64 / t_structural / 1e6,
-                vectors as f64 / t_compiled / 1e6,
-                t_structural / t_compiled,
-            );
-        }
     }
 
     println!("\n== sdlc-cli verify --width 12 --scheme all: batched exhaustive, one CPU ==");

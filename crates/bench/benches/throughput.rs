@@ -8,7 +8,7 @@ use sdlc_core::batch::{BatchMultiplier, Batchable, LANES};
 use sdlc_core::error::{evaluate, Coverage, Engine};
 use sdlc_core::{AccurateMultiplier, Multiplier, SdlcMultiplier};
 use sdlc_netlist::GateKind;
-use sdlc_sim::{BitParallelSim, LogicSim};
+use sdlc_sim::LogicSim;
 use sdlc_wideint::{SplitMix64, U256};
 use std::time::Instant;
 
@@ -259,15 +259,6 @@ fn bench_simulators(c: &mut Criterion) {
             let stimulus: Vec<bool> = (0..inputs).map(|_| rng.next_u64() & 1 == 1).collect();
             sim.apply(&stimulus);
             std::hint::black_box(sim.outputs())
-        });
-    });
-    group.bench_function("bit_parallel_64x", |b| {
-        let mut sim = BitParallelSim::new(&netlist);
-        let mut rng = SplitMix64::new(5);
-        b.iter(|| {
-            let stimulus: Vec<u64> = (0..inputs).map(|_| rng.next_u64()).collect();
-            sim.apply(&stimulus);
-            std::hint::black_box(sim.toggles()[0])
         });
     });
     group.finish();

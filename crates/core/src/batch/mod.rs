@@ -3,8 +3,8 @@
 //! The scalar [`Multiplier`] path evaluates one operand pair per call. The
 //! paper's evaluation, however, sweeps *every* operand pair — 2^{2N} of
 //! them — so the hottest loop in this repository multiplies billions of
-//! times. This module applies the same trick the netlist layer's
-//! `BitParallelSim` uses for switching activity: store the operands
+//! times. This module applies the same trick the netlist layer's compiled
+//! simulator uses for switching activity: store the operands
 //! **transposed** as bit-planes (one `u64` per bit position, lane `i` of
 //! each word belonging to pair `i`; see [`sdlc_wideint::bitplane`]) and
 //! every AND/OR of the multiplier's dot diagram becomes one word-wide
@@ -60,7 +60,7 @@ pub(crate) mod signed;
 pub use accurate::BatchAccurate;
 pub use baselines::{BatchEtm, BatchKulkarni, BatchTruncated};
 pub use sdlc::BatchSdlc;
-pub use signed::{BatchSignMagnitude, SignedBatchMultiplier};
+pub use signed::{exhaustive_block_signed, BatchSignMagnitude, SignedBatchMultiplier};
 
 use sdlc_wideint::bitplane::transposed64;
 
@@ -181,44 +181,18 @@ pub trait Batchable: Multiplier {
     fn batch_model(&self) -> Self::Batch;
 }
 
-/// Un-transposes product planes into per-lane values (`out[i]` = lane
-/// `i`'s product), using the cheaper 16- and 32-plane block networks when
-/// the products are narrow enough. The error drivers and benches consume
-/// [`BatchMultiplier::sweep_operand_row`] output through this.
-///
-/// # Panics
-///
-/// Panics if more than [`LANES`] planes are passed.
-pub fn extract_product_lanes(planes: &[u64], out: &mut [u64; LANES]) {
-    use sdlc_wideint::bitplane;
-    if planes.len() <= 16 {
-        let mut w = [0u64; 16];
-        w[..planes.len()].copy_from_slice(planes);
-        let lanes = bitplane::lanes_from_planes16(&w);
-        for (o, &l) in out.iter_mut().zip(&lanes) {
-            *o = u64::from(l);
-        }
-    } else if planes.len() <= 32 {
-        let mut w = [0u64; 32];
-        w[..planes.len()].copy_from_slice(planes);
-        let lanes = bitplane::lanes_from_planes32(&w);
-        for (o, &l) in out.iter_mut().zip(&lanes) {
-            *o = u64::from(l);
-        }
-    } else {
-        let mut w = [0u64; LANES];
-        w[..planes.len()].copy_from_slice(planes);
-        *out = transposed64(&w);
-    }
-}
+/// Un-transposes product planes into per-lane values; the error drivers
+/// and benches consume [`BatchMultiplier::sweep_operand_row`] output
+/// through this.
+pub use sdlc_wideint::bitplane::lanes_from_planes as extract_product_lanes;
 
 /// Evaluates one exhaustive-sweep block through a bit-sliced model:
 /// `out[i]` receives the model's product for `(a, b0 + i)` across all
 /// [`LANES`] consecutive `b` values. This is the model side of
-/// `sdlc-sim`'s batched equivalence checks (`check_exhaustive_batched`):
-/// the netlist sweep packs 64 pairs per compiled evaluation, and feeding
-/// the reference model pair-by-pair would dominate the check from
-/// ~10-bit operands up.
+/// `sdlc-sim`'s exhaustive equivalence checks (`equiv::Model::block`): the
+/// netlist sweep packs 512 pairs per compiled evaluation, and feeding the
+/// reference model pair-by-pair would dominate the check from ~10-bit
+/// operands up. [`exhaustive_block_signed`] is the two's-complement twin.
 ///
 /// # Panics
 ///

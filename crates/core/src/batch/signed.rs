@@ -91,6 +91,59 @@ pub(crate) fn sign_extend(pattern: u64, bits: u32) -> i128 {
     i128::from(((pattern << (64 - bits)) as i64) >> (64 - bits))
 }
 
+/// [`exhaustive_block`](crate::batch::exhaustive_block) over a signed
+/// bit-sliced model: `out[i]` receives the product of the two's-complement
+/// patterns `(a, b0 + i)` as its 64-bit two's-complement pattern, across
+/// all [`LANES`] consecutive `b` patterns — the model side of `sdlc-sim`'s
+/// signed exhaustive equivalence checks. Lanes past `2^N` wrap to the low
+/// `N` bits of their pattern.
+///
+/// # Panics
+///
+/// Panics if `a` does not fit the model's width or `b0` is not a multiple
+/// of [`LANES`].
+///
+/// # Examples
+///
+/// ```
+/// use sdlc_core::batch::{exhaustive_block_signed, LANES};
+/// use sdlc_core::{SdlcMultiplier, SignMagnitude, SignedMultiplier};
+///
+/// let model = SignMagnitude::new(SdlcMultiplier::new(8, 2)?);
+/// let batch = model.batch_model();
+/// let mut out = [0u64; LANES];
+/// exhaustive_block_signed(&batch, 200, 128, &mut out); // a = −56, b = −128 ..
+/// for (i, &p) in out.iter().enumerate() {
+///     let b = 128 + i as i64 - 256;
+///     assert_eq!(i128::from(p as i64), model.multiply_i64(-56, b));
+/// }
+/// # Ok::<(), sdlc_core::SpecError>(())
+/// ```
+pub fn exhaustive_block_signed(
+    batch: &impl SignedBatchMultiplier,
+    a: u64,
+    b0: u64,
+    out: &mut [u64; LANES],
+) {
+    let width = batch.width();
+    let planes = width as usize;
+    assert!(a <= mask(width), "left pattern does not fit {width} bits");
+    let mut a_planes = [0u64; BATCH_MAX_WIDTH as usize];
+    let mut b_planes = [0u64; BATCH_MAX_WIDTH as usize];
+    bitplane::broadcast_planes(a, width, &mut a_planes);
+    bitplane::counter_planes(b0, width, &mut b_planes);
+    let mut product = [0u64; LANES];
+    batch.multiply_planes_signed(
+        &a_planes[..planes],
+        &b_planes[..planes],
+        &mut product[..2 * planes],
+    );
+    crate::batch::extract_product_lanes(&product[..2 * planes], out);
+    for lane in out {
+        *lane = sign_extend(*lane, 2 * width) as u64;
+    }
+}
+
 /// The bit-sliced twin of [`SignMagnitude`](crate::SignMagnitude): wraps
 /// any unsigned [`BatchMultiplier`] with plane-level sign handling.
 ///

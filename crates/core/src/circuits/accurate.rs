@@ -44,7 +44,8 @@ pub fn accurate_multiplier(width: u32, scheme: ReductionScheme) -> Result<Netlis
 mod tests {
     use super::*;
     use sdlc_netlist::GateKind;
-    use sdlc_sim::equiv::{check_exhaustive, check_sampled};
+    use sdlc_sim::equiv::{check, Sweep};
+    use sdlc_sim::Engine;
     use sdlc_wideint::U256;
 
     fn exact(a: u128, b: u128) -> U256 {
@@ -61,7 +62,7 @@ mod tests {
             ] {
                 let n = accurate_multiplier(width, scheme).unwrap();
                 n.validate().unwrap();
-                check_exhaustive(&n, width, exact)
+                check(&n, width, Sweep::Exhaustive, exact, Engine::Scalar)
                     .unwrap_or_else(|e| panic!("{width}-bit {scheme:?}: {e}"));
             }
         }
@@ -75,7 +76,11 @@ mod tests {
             ReductionScheme::Dadda,
         ] {
             let n = accurate_multiplier(16, scheme).unwrap();
-            check_sampled(&n, 16, 400, 5, exact).unwrap();
+            let sweep = Sweep::Sampled {
+                samples: 400,
+                seed: 5,
+            };
+            check(&n, 16, sweep, exact, Engine::Scalar).unwrap();
         }
     }
 

@@ -93,7 +93,8 @@ mod tests {
     use crate::baselines::EtmMultiplier;
     use crate::Multiplier;
     use sdlc_netlist::GateKind;
-    use sdlc_sim::equiv::{check_exhaustive, check_sampled};
+    use sdlc_sim::equiv::{check, Sweep};
+    use sdlc_sim::Engine;
 
     #[test]
     fn matches_functional_model_exhaustively() {
@@ -101,7 +102,8 @@ mod tests {
             let model = EtmMultiplier::new(width).unwrap();
             let n = etm_multiplier(width, ReductionScheme::RippleRows).unwrap();
             n.validate().unwrap();
-            check_exhaustive(&n, width, |a, b| model.multiply(a, b))
+            let reference = |a, b| model.multiply(a, b);
+            check(&n, width, Sweep::Exhaustive, reference, Engine::Scalar)
                 .unwrap_or_else(|e| panic!("width {width}: {e}"));
         }
     }
@@ -110,7 +112,12 @@ mod tests {
     fn matches_functional_model_sampled_16bit() {
         let model = EtmMultiplier::new(16).unwrap();
         let n = etm_multiplier(16, ReductionScheme::RippleRows).unwrap();
-        check_sampled(&n, 16, 500, 23, |a, b| model.multiply(a, b)).unwrap();
+        let reference = |a, b| model.multiply(a, b);
+        let sweep = Sweep::Sampled {
+            samples: 500,
+            seed: 23,
+        };
+        check(&n, 16, sweep, reference, Engine::Scalar).unwrap();
     }
 
     #[test]

@@ -66,7 +66,8 @@ mod tests {
     use super::*;
     use crate::baselines::KulkarniMultiplier;
     use crate::Multiplier;
-    use sdlc_sim::equiv::{check_exhaustive, check_sampled};
+    use sdlc_sim::equiv::{check, Sweep};
+    use sdlc_sim::Engine;
 
     #[test]
     fn matches_functional_model_exhaustively() {
@@ -74,7 +75,8 @@ mod tests {
             let model = KulkarniMultiplier::new(width).unwrap();
             let n = kulkarni_multiplier(width, ReductionScheme::RippleRows).unwrap();
             n.validate().unwrap();
-            check_exhaustive(&n, width, |a, b| model.multiply(a, b))
+            let reference = |a, b| model.multiply(a, b);
+            check(&n, width, Sweep::Exhaustive, reference, Engine::Scalar)
                 .unwrap_or_else(|e| panic!("width {width}: {e}"));
         }
     }
@@ -83,7 +85,12 @@ mod tests {
     fn matches_functional_model_sampled_16bit() {
         let model = KulkarniMultiplier::new(16).unwrap();
         let n = kulkarni_multiplier(16, ReductionScheme::RippleRows).unwrap();
-        check_sampled(&n, 16, 500, 17, |a, b| model.multiply(a, b)).unwrap();
+        let reference = |a, b| model.multiply(a, b);
+        let sweep = Sweep::Sampled {
+            samples: 500,
+            seed: 17,
+        };
+        check(&n, 16, sweep, reference, Engine::Scalar).unwrap();
     }
 
     #[test]

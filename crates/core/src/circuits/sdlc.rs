@@ -99,7 +99,7 @@ mod tests {
     use super::*;
     use crate::ClusterVariant;
     use sdlc_netlist::GateKind;
-    use sdlc_sim::equiv::{check_exhaustive, check_exhaustive_with_engine, check_sampled};
+    use sdlc_sim::equiv::{check, Sweep};
     use sdlc_sim::Engine;
     use sdlc_wideint::U256;
 
@@ -109,7 +109,8 @@ mod tests {
             let model = SdlcMultiplier::new(8, depth).unwrap();
             let n = sdlc_multiplier(&model, ReductionScheme::RippleRows);
             n.validate().unwrap();
-            check_exhaustive_with_engine(&n, 8, |a, b| model.multiply(a, b), Engine::Compiled)
+            let reference = |a, b| model.multiply(a, b);
+            check(&n, 8, Sweep::Exhaustive, reference, Engine::Compiled)
                 .unwrap_or_else(|e| panic!("depth {depth}: {e}"));
         }
     }
@@ -120,13 +121,8 @@ mod tests {
         // routine (the scalar cap used to be 8 bits).
         let model = SdlcMultiplier::new(10, 2).unwrap();
         let n = sdlc_multiplier(&model, ReductionScheme::RippleRows);
-        check_exhaustive_with_engine(
-            &n,
-            10,
-            |a, b| U256::from_u128(model.multiply_u64(a as u64, b as u64)),
-            Engine::Compiled,
-        )
-        .unwrap();
+        let reference = |a, b| U256::from_u128(model.multiply_u64(a as u64, b as u64));
+        check(&n, 10, Sweep::Exhaustive, reference, Engine::Compiled).unwrap();
     }
 
     #[test]
@@ -138,7 +134,8 @@ mod tests {
             ReductionScheme::Dadda,
         ] {
             let n = sdlc_multiplier(&model, scheme);
-            check_exhaustive(&n, 6, |a, b| model.multiply(a, b))
+            let reference = |a, b| model.multiply(a, b);
+            check(&n, 6, Sweep::Exhaustive, reference, Engine::Scalar)
                 .unwrap_or_else(|e| panic!("{scheme:?}: {e}"));
         }
     }
@@ -147,14 +144,20 @@ mod tests {
     fn matches_functional_model_sampled_16bit() {
         let model = SdlcMultiplier::new(16, 2).unwrap();
         let n = sdlc_multiplier(&model, ReductionScheme::RippleRows);
-        check_sampled(&n, 16, 400, 11, |a, b| model.multiply(a, b)).unwrap();
+        let reference = |a, b| model.multiply(a, b);
+        let sweep = Sweep::Sampled {
+            samples: 400,
+            seed: 11,
+        };
+        check(&n, 16, sweep, reference, Engine::Scalar).unwrap();
     }
 
     #[test]
     fn fullor_variant_matches_too() {
         let model = SdlcMultiplier::with_variant(8, 3, ClusterVariant::FullOr).unwrap();
         let n = sdlc_multiplier(&model, ReductionScheme::RippleRows);
-        check_exhaustive(&n, 8, |a, b| model.multiply(a, b)).unwrap();
+        let reference = |a, b| model.multiply(a, b);
+        check(&n, 8, Sweep::Exhaustive, reference, Engine::Scalar).unwrap();
     }
 
     #[test]
@@ -183,16 +186,15 @@ mod tests {
         let model = TruncatedMultiplier::new(8, 6).unwrap();
         let n = truncated_multiplier(&model, ReductionScheme::RippleRows);
         n.validate().unwrap();
-        check_exhaustive(&n, 8, |a, b| model.multiply(a, b)).unwrap();
+        let reference = |a, b| model.multiply(a, b);
+        check(&n, 8, Sweep::Exhaustive, reference, Engine::Scalar).unwrap();
     }
 
     #[test]
     fn truncated_with_no_drop_is_exact() {
         let model = TruncatedMultiplier::new(4, 0).unwrap();
         let n = truncated_multiplier(&model, ReductionScheme::Wallace);
-        check_exhaustive(&n, 4, |a, b| {
-            sdlc_wideint::U256::from_u128(a).wrapping_mul(&sdlc_wideint::U256::from_u128(b))
-        })
-        .unwrap();
+        let reference = |a, b| U256::from_u128(a).wrapping_mul(&U256::from_u128(b));
+        check(&n, 4, Sweep::Exhaustive, reference, Engine::Scalar).unwrap();
     }
 }

@@ -8,8 +8,8 @@
 //! model of the result is exactly
 //! [`SignMagnitude`](crate::SignMagnitude) over the corresponding
 //! unsigned model, and `sdlc-sim`'s
-//! [`check_exhaustive_signed`](sdlc_sim::equiv::check_exhaustive_signed)
-//! proves the pair-for-pair agreement in this module's tests and in
+//! [`check_signed`](sdlc_sim::equiv::check_signed) proves the
+//! pair-for-pair agreement in this module's tests and in
 //! `tests/signed_circuit_equivalence.rs`.
 
 use sdlc_netlist::Netlist;
@@ -72,14 +72,16 @@ mod tests {
     use crate::circuits::{etm_multiplier, kulkarni_multiplier, truncated_multiplier};
     use crate::signed::{SignMagnitude, SignedMultiplier};
     use crate::{AccurateMultiplier, ClusterVariant};
-    use sdlc_sim::equiv::{check_exhaustive_signed, check_sampled_signed};
+    use sdlc_sim::equiv::{check_signed, Sweep};
+    use sdlc_sim::Engine;
 
     #[test]
     fn signed_accurate_is_twos_complement_multiplication() {
         for scheme in [ReductionScheme::RippleRows, ReductionScheme::Dadda] {
             let n = signed_accurate_multiplier(4, scheme).unwrap();
             n.validate().unwrap();
-            check_exhaustive_signed(&n, 4, |a, b| sdlc_wideint::I256::from_i128(a * b))
+            let reference = |a, b| sdlc_wideint::I256::from_i128(a * b);
+            check_signed(&n, 4, Sweep::Exhaustive, reference, Engine::Scalar)
                 .unwrap_or_else(|e| panic!("{scheme:?}: {e}"));
         }
     }
@@ -91,7 +93,8 @@ mod tests {
             let n = signed_sdlc_multiplier(&model, ReductionScheme::RippleRows);
             n.validate().unwrap();
             let signed = SignMagnitude::new(model);
-            check_exhaustive_signed(&n, 6, |a, b| signed.multiply_signed(a, b))
+            let reference = |a, b| signed.multiply_signed(a, b);
+            check_signed(&n, 6, Sweep::Exhaustive, reference, Engine::Scalar)
                 .unwrap_or_else(|e| panic!("{variant:?}: {e}"));
         }
     }
@@ -99,7 +102,7 @@ mod tests {
     #[test]
     fn signed_wrap_covers_every_baseline_generator() {
         let scheme = ReductionScheme::RippleRows;
-        type Model = Box<dyn Fn(i128, i128) -> sdlc_wideint::I256>;
+        type Model = Box<dyn Fn(i128, i128) -> sdlc_wideint::I256 + Sync>;
         let cases: Vec<(Netlist, Model)> = vec![
             (
                 signed_multiplier(
@@ -126,20 +129,26 @@ mod tests {
         for (netlist, model) in &cases {
             netlist.validate().unwrap();
             let width = netlist.bus("a").unwrap().len() as u32;
-            check_exhaustive_signed(netlist, width, model)
+            check_signed(netlist, width, Sweep::Exhaustive, model, Engine::Scalar)
                 .unwrap_or_else(|e| panic!("{}: {e}", netlist.name()));
         }
     }
 
     #[test]
     fn sampled_equivalence_at_16_bits() {
+        let sweep = Sweep::Sampled {
+            samples: 200,
+            seed: 9,
+        };
         let model = SdlcMultiplier::new(16, 2).unwrap();
         let n = signed_sdlc_multiplier(&model, ReductionScheme::Wallace);
         let signed = SignMagnitude::new(model);
-        check_sampled_signed(&n, 16, 200, 9, |a, b| signed.multiply_signed(a, b)).unwrap();
+        let reference = |a, b| signed.multiply_signed(a, b);
+        check_signed(&n, 16, sweep, reference, Engine::Scalar).unwrap();
         let exact = signed_accurate_multiplier(16, ReductionScheme::RippleRows).unwrap();
-        let reference = SignMagnitude::new(AccurateMultiplier::new(16).unwrap());
-        check_sampled_signed(&exact, 16, 200, 9, |a, b| reference.multiply_signed(a, b)).unwrap();
+        let accurate = SignMagnitude::new(AccurateMultiplier::new(16).unwrap());
+        let reference = |a, b| accurate.multiply_signed(a, b);
+        check_signed(&exact, 16, sweep, reference, Engine::Scalar).unwrap();
     }
 
     #[test]

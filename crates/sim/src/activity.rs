@@ -3,10 +3,9 @@
 //! Dynamic power estimation needs per-net toggle statistics under a
 //! representative workload. [`random_activity`] drives a netlist with a
 //! deterministic uniform stream (the paper's setting: operands drawn
-//! uniformly, as in its exhaustive error analysis) through a zero-delay
-//! 64-lane engine — by default the compiled program, which produces
-//! toggle totals bit-identical to the structural [`BitParallelSim`]
-//! (select explicitly via [`random_activity_with_engine`]);
+//! uniformly, as in its exhaustive error analysis) through the compiled
+//! zero-delay 64-lane engine, whose toggle totals equal those of 64
+//! scalar [`LogicSim`](crate::LogicSim) streams, one per lane;
 //! [`timing_activity`] does the same through the event-driven engine to
 //! include glitch power, and [`timing_activity_with_engine`] selects
 //! between that scalar reference and [`glitch_activity`], the compiled
@@ -22,7 +21,6 @@ use sdlc_wideint::SplitMix64;
 use crate::compile::{CompiledNetlist, CompiledSim};
 use crate::glitch::{GlitchSim, TimedProgram};
 use crate::logic::ab_stimulus;
-use crate::parallel::BitParallelSim;
 use crate::timing::TimingSim;
 use crate::Engine;
 
@@ -59,65 +57,32 @@ impl Activity {
 /// of 64) through the compiled zero-delay engine — the fast path the
 /// `sdlc-synth` power flow rides.
 ///
-/// Deterministic in `(netlist, seed, vectors)`, and bit-identical to the
-/// structural engine ([`random_activity_with_engine`] with
-/// [`Engine::Scalar`]): same stimulus stream, same lane-wise toggle
-/// convention, identical per-net totals.
+/// Word `k` of the stimulus holds one SplitMix64 draw from `seed` per
+/// primary input, in input order, and lane `l` of every word is vector
+/// stream `l`; the first word establishes state. The per-net totals equal
+/// those of 64 [`LogicSim`](crate::LogicSim) streams fed lane by lane, so
+/// the result is deterministic in `(netlist, seed, vectors)`.
 ///
 /// # Panics
 ///
 /// Panics if `vectors == 0`.
 #[must_use]
 pub fn random_activity(netlist: &Netlist, seed: u64, vectors: u64) -> Activity {
-    random_activity_with_engine(netlist, seed, vectors, Engine::Compiled)
-}
-
-/// [`random_activity`] with an explicit engine choice: [`Engine::Scalar`]
-/// walks the netlist structure per sweep ([`BitParallelSim`], the
-/// differential reference), [`Engine::Compiled`] streams the flattened
-/// program. Toggle totals are bit-identical either way.
-///
-/// # Panics
-///
-/// Panics if `vectors == 0`.
-#[must_use]
-pub fn random_activity_with_engine(
-    netlist: &Netlist,
-    seed: u64,
-    vectors: u64,
-    engine: Engine,
-) -> Activity {
     assert!(vectors > 0, "need at least one vector");
     let words = vectors.div_ceil(64) + 1; // +1: first word establishes state
     let mut rng = SplitMix64::new(seed);
-    let width = netlist.inputs().len();
-    let mut stimulus = vec![0u64; width];
-    let mut draw = move || {
+    let mut stimulus = vec![0u64; netlist.inputs().len()];
+    let program = CompiledNetlist::compile(netlist);
+    let mut sim = CompiledSim::new(&program);
+    for _ in 0..words {
         for word in &mut stimulus {
             *word = rng.next_u64();
         }
-        stimulus.clone()
-    };
-    let (toggles_per_net, transition_count) = match engine {
-        Engine::Scalar => {
-            let mut sim = BitParallelSim::new(netlist);
-            for _ in 0..words {
-                sim.apply(&draw());
-            }
-            (sim.toggles().to_vec(), sim.transition_vectors())
-        }
-        Engine::Compiled => {
-            let program = CompiledNetlist::compile(netlist);
-            let mut sim = CompiledSim::new(&program);
-            for _ in 0..words {
-                sim.apply(&draw());
-            }
-            (sim.toggles_per_net(), sim.transition_vectors())
-        }
-    };
+        sim.apply(&stimulus);
+    }
     Activity {
-        toggles_per_net,
-        transition_count,
+        toggles_per_net: sim.toggles_per_net(),
+        transition_count: sim.transition_vectors(),
         includes_glitches: false,
     }
 }
@@ -341,10 +306,15 @@ mod tests {
     #[test]
     fn engines_produce_identical_activity() {
         let n = adder(8);
-        let compiled = random_activity_with_engine(&n, 42, 256, Engine::Compiled);
-        let structural = random_activity_with_engine(&n, 42, 256, Engine::Scalar);
-        assert_eq!(compiled, structural);
-        assert_eq!(compiled, random_activity(&n, 42, 256));
+        let activity = random_activity(&n, 42, 256);
+        // The same stream, lane by lane through the scalar reference.
+        let mut rng = SplitMix64::new(42);
+        let words: Vec<Vec<u64>> = (0..5)
+            .map(|_| n.inputs().iter().map(|_| rng.next_u64()).collect())
+            .collect();
+        let (_, toggles) = crate::logic::lanewise_reference(&n, &words);
+        assert_eq!(activity.toggles_per_net, toggles);
+        assert_eq!(activity.transition_count, 256);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Compiled netlist evaluation: flatten once, fold hard, sweep word-wide.
 //!
-//! The structural engines ([`crate::LogicSim`], [`crate::BitParallelSim`])
-//! re-walk the [`Netlist`] for every vector: per-gate enum dispatch, a
-//! `NetId` indirection per pin, and (for the scalar engine) bounds checks
-//! against the full net table. [`CompiledNetlist`] pays those costs once,
+//! The structural reference engine, [`crate::LogicSim`], re-walks the
+//! [`Netlist`] for every vector: per-gate enum dispatch, a `NetId`
+//! indirection per pin, and bounds checks against the full net table. [`CompiledNetlist`] pays those costs once,
 //! at compile time, producing a dense struct-of-arrays program the
 //! executor can stream through:
 //!
@@ -28,13 +27,14 @@
 //!
 //! Every fold preserves the boolean function of each net, so the per-net
 //! value stream — and therefore the per-net toggle count — is bit-identical
-//! to the structural engines' (the differential suite proves it).
+//! to that of the scalar reference, lane by lane (the differential suite
+//! proves it).
 //!
 //! The executor, [`CompiledSim`], evaluates 64 independent vectors per
-//! sweep exactly like [`crate::BitParallelSim`] — lane `i` of every value
-//! word is stimulus stream `i` — but its inner loop reads compact opcodes
-//! and `u32` slot indices from flat arrays instead of matching on gate
-//! structs. [`CompiledSim::apply`] keeps the same lane-wise toggle
+//! sweep — lane `i` of every value word is stimulus stream `i`, as if 64
+//! [`crate::LogicSim`]s ran side by side — and its inner loop reads
+//! compact opcodes and `u32` slot indices from flat arrays instead of
+//! matching on gate structs. [`CompiledSim::apply`] keeps the same lane-wise toggle
 //! accounting; [`CompiledSim::evaluate`] skips it for equivalence sweeps
 //! where only final values matter.
 //!
@@ -378,7 +378,7 @@ impl CompiledNetlist {
 
     /// Scatters per-slot toggle counts back to the source netlist's net
     /// indexing (folded nets report their alias target's count, which
-    /// equals what the structural engines count for them: every fold
+    /// equals what the scalar reference counts for them: every fold
     /// preserves the net's boolean function, so its value stream — and
     /// toggle count — is the alias target's). Dead nets — left behind
     /// without a driver by `sdlc-netlist`'s DCE pass, which keeps net
@@ -426,8 +426,8 @@ impl<'p> CompiledSim<'p> {
 
     /// Applies one stimulus word per primary input (ordered like the
     /// source netlist's `inputs()`) and settles all lanes, accumulating
-    /// lane-wise toggle counts against the previous word — the same
-    /// convention as [`crate::BitParallelSim`] (the first word establishes
+    /// lane-wise toggle counts against the previous word — each lane
+    /// counts like a [`crate::LogicSim`] stream (the first word establishes
     /// state for free).
     ///
     /// # Panics
@@ -461,7 +461,7 @@ impl<'p> CompiledSim<'p> {
 
     /// Per-net toggle counts summed over all 64 lanes, scattered back to
     /// the source netlist's net indexing (folded nets report their alias
-    /// target's count — identical to the structural engines, since every
+    /// target's count — identical to the scalar reference, since every
     /// fold preserves the net's boolean function).
     #[must_use]
     pub fn toggles_per_net(&self) -> Vec<u64> {
@@ -475,7 +475,7 @@ impl<'p> CompiledSim<'p> {
     }
 
     /// Total vectors that produced countable transitions:
-    /// `(words − 1) × 64`, the [`crate::BitParallelSim`] convention.
+    /// `(words − 1) × 64`: every lane's vectors after its first.
     #[must_use]
     pub fn transition_vectors(&self) -> u64 {
         self.words_applied.saturating_sub(1) * 64
@@ -602,7 +602,7 @@ fn eval_op<const W: usize>(code: OpCode, a: [u64; W], b: [u64; W], c: [u64; W]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BitParallelSim;
+    use crate::logic::lanewise_reference;
     use sdlc_wideint::SplitMix64;
 
     fn adder(width: u32) -> Netlist {
@@ -614,31 +614,36 @@ mod tests {
         n
     }
 
+    /// Applies `words` to the compiled engine and checks every net's final
+    /// plane, every toggle total and the transition count against 64
+    /// lane-wise `LogicSim` streams.
+    fn assert_matches_lanewise_reference(n: &Netlist, words: &[Vec<u64>]) {
+        let program = CompiledNetlist::compile(n);
+        let mut compiled = CompiledSim::new(&program);
+        for word in words {
+            compiled.apply(word);
+        }
+        let (planes, toggles) = lanewise_reference(n, words);
+        for gate in n.gates() {
+            let id = gate.output;
+            assert_eq!(compiled.plane(id), planes[id.index()], "net {id}");
+        }
+        assert_eq!(compiled.toggles_per_net(), toggles);
+        assert_eq!(compiled.transition_vectors(), (words.len() as u64 - 1) * 64);
+    }
+
+    /// `count` stimulus words of `inputs` random lanes each.
+    fn random_words(seed: u64, count: usize, inputs: usize) -> Vec<Vec<u64>> {
+        let mut rng = SplitMix64::new(seed);
+        (0..count)
+            .map(|_| (0..inputs).map(|_| rng.next_u64()).collect())
+            .collect()
+    }
+
     #[test]
     fn matches_bit_parallel_values_and_toggles() {
         let n = adder(6);
-        let program = CompiledNetlist::compile(&n);
-        let mut compiled = CompiledSim::new(&program);
-        let mut structural = BitParallelSim::new(&n);
-        let mut rng = SplitMix64::new(0xC0DE);
-        for _ in 0..12 {
-            let stimulus: Vec<u64> = (0..12).map(|_| rng.next_u64()).collect();
-            compiled.apply(&stimulus);
-            structural.apply(&stimulus);
-        }
-        for gate in n.gates() {
-            let id = gate.output;
-            let mut plane = 0u64;
-            for lane in 0..64 {
-                plane |= u64::from(structural.lane_value(id, lane)) << lane;
-            }
-            assert_eq!(compiled.plane(id), plane, "net {id}");
-        }
-        assert_eq!(compiled.toggles_per_net(), structural.toggles().to_vec());
-        assert_eq!(
-            compiled.transition_vectors(),
-            structural.transition_vectors()
-        );
+        assert_matches_lanewise_reference(&n, &random_words(0xC0DE, 12, 12));
     }
 
     #[test]
@@ -693,23 +698,7 @@ mod tests {
         assert_eq!(program.slot_of(back), program.slot_of(a));
         assert_eq!(program.slot_of(always), SLOT_CONST1 as usize);
         assert_eq!(program.slot_of(xor_same), SLOT_CONST0 as usize);
-        let mut compiled = CompiledSim::new(&program);
-        let mut structural = BitParallelSim::new(&n);
-        let mut rng = SplitMix64::new(7);
-        for _ in 0..6 {
-            let stimulus: Vec<u64> = (0..2).map(|_| rng.next_u64()).collect();
-            compiled.apply(&stimulus);
-            structural.apply(&stimulus);
-        }
-        for gate in n.gates() {
-            let id = gate.output;
-            let mut plane = 0u64;
-            for lane in 0..64 {
-                plane |= u64::from(structural.lane_value(id, lane)) << lane;
-            }
-            assert_eq!(compiled.plane(id), plane, "net {id}");
-        }
-        assert_eq!(compiled.toggles_per_net(), structural.toggles().to_vec());
+        assert_matches_lanewise_reference(&n, &random_words(7, 6, 2));
     }
 
     #[test]
@@ -727,14 +716,9 @@ mod tests {
         assert_eq!(program.slot_of(x2), program.slot_of(x1));
         assert_eq!(program.slot_of(x3), program.slot_of(x1));
         assert_eq!(program.slot_of(y), SLOT_CONST0 as usize);
-        // Shared nets still count toggles like the structural engines.
-        let mut compiled = CompiledSim::new(&program);
-        let mut structural = BitParallelSim::new(&n);
-        for word in [[0u64, 0], [u64::MAX, 0b1010], [0b1100, 0b0110]] {
-            compiled.apply(&word);
-            structural.apply(&word);
-        }
-        assert_eq!(compiled.toggles_per_net(), structural.toggles().to_vec());
+        // Shared nets still count toggles like the scalar reference.
+        let words = [[0u64, 0], [u64::MAX, 0b1010], [0b1100, 0b0110]].map(|w| w.to_vec());
+        assert_matches_lanewise_reference(&n, &words);
     }
 
     #[test]
@@ -763,23 +747,7 @@ mod tests {
         assert_eq!(program.slot_of(same), program.slot_of(a));
         // NOT sel, AND(sel,b), OR(sel,a) survive as rewritten ops.
         assert_eq!(program.op_count(), 3);
-        let mut compiled = CompiledSim::new(&program);
-        let mut structural = BitParallelSim::new(&n);
-        let mut rng = SplitMix64::new(0xB0);
-        for _ in 0..8 {
-            let stimulus: Vec<u64> = (0..3).map(|_| rng.next_u64()).collect();
-            compiled.apply(&stimulus);
-            structural.apply(&stimulus);
-        }
-        for gate in n.gates() {
-            let id = gate.output;
-            let mut plane = 0u64;
-            for lane in 0..64 {
-                plane |= u64::from(structural.lane_value(id, lane)) << lane;
-            }
-            assert_eq!(compiled.plane(id), plane, "net {id}");
-        }
-        assert_eq!(compiled.toggles_per_net(), structural.toggles().to_vec());
+        assert_matches_lanewise_reference(&n, &random_words(0xB0, 8, 3));
     }
 
     #[test]

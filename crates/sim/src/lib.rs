@@ -1,12 +1,11 @@
 //! Gate-level logic simulation (the reproduction's stand-in for QuestaSim).
 //!
-//! Five engines share the netlist IR:
+//! Four engines share the netlist IR:
 //!
 //! * [`LogicSim`] — scalar levelized zero-delay simulation with per-net
 //!   toggle counting; the reference engine every faster path is checked
-//!   against.
-//! * [`BitParallelSim`] — 64 independent stimulus lanes per machine word,
-//!   walking the netlist structure gate by gate.
+//!   against (64 `LogicSim` streams, one per lane, for the word-parallel
+//!   engines).
 //! * [`CompiledNetlist`]/[`CompiledSim`] — the netlist flattened once into
 //!   a dense struct-of-arrays program (constants folded, buffer chains
 //!   chased, ports pre-mapped) whose executor evaluates 64 vectors per
@@ -26,25 +25,23 @@
 //!   accounting (same delays, same quantization, same event order) at a
 //!   fraction of the cost.
 //!
-//! [`activity`] drives the zero-delay engines over seeded random vector
-//! streams and aggregates per-net toggle statistics for the power model in
-//! `sdlc-synth` (and the glitch-aware equivalents through the timing
-//! engines); [`equiv`] checks netlists against functional models, with
-//! an [`Engine`] selector between the scalar reference and the compiled
-//! 512-lane, multi-threaded sweep (model side optionally batched 64 pairs
-//! per call via [`equiv::check_exhaustive_batched`]).
+//! [`activity`] drives the compiled zero-delay engine over seeded random
+//! vector streams and aggregates per-net toggle statistics for the power
+//! model in `sdlc-synth` (and the glitch-aware equivalents through the
+//! timing engines); [`equiv`] checks netlists against functional models,
+//! with an [`Engine`] selector between the scalar reference and the
+//! compiled 512-lane, multi-threaded sweep (model side optionally batched
+//! 64 pairs per call via [`equiv::Model::block`]).
 
 pub mod activity;
 mod compile;
 pub mod equiv;
 mod glitch;
 mod logic;
-mod parallel;
 mod timing;
 
 pub use compile::{CompiledNetlist, CompiledSim};
 pub use equiv::Engine;
 pub use glitch::{GlitchSim, TimedProgram};
 pub use logic::{ab_stimulus, LogicSim};
-pub use parallel::BitParallelSim;
 pub use timing::{ApplyResult, TimingSim};

@@ -186,6 +186,29 @@ pub fn ab_stimulus(netlist: &Netlist, a: u128, b: u128) -> Vec<bool> {
     stimulus
 }
 
+/// The scalar reference for the 64-lane engines: runs 64 [`LogicSim`]
+/// streams over `words`, lane `l` of every word (one word per primary
+/// input) being stream `l`'s vector. Returns each net's 64-lane plane after
+/// the last word and its toggle total over all lanes, both indexed by
+/// `NetId::index`.
+#[cfg(test)]
+pub(crate) fn lanewise_reference(netlist: &Netlist, words: &[Vec<u64>]) -> (Vec<u64>, Vec<u64>) {
+    let mut planes = vec![0u64; netlist.net_count()];
+    let mut toggles = vec![0u64; netlist.net_count()];
+    for lane in 0..64 {
+        let mut sim = LogicSim::new(netlist);
+        for word in words {
+            let stimulus: Vec<bool> = word.iter().map(|&w| (w >> lane) & 1 == 1).collect();
+            sim.apply(&stimulus);
+        }
+        for (i, plane) in planes.iter_mut().enumerate() {
+            *plane |= u64::from(sim.values[i]) << lane;
+            toggles[i] += sim.toggles[i];
+        }
+    }
+    (planes, toggles)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,8 +5,8 @@
 //! operand, it keeps one word per **bit position** — plane `j` is a `u64`
 //! whose bit `i` is bit `j` of lane `i`'s operand. In that layout a single
 //! word-wide `&`/`|`/`^` applies one gate of the multiplier to all 64 lanes
-//! simultaneously, exactly like the netlist-level
-//! `BitParallelSim` does for gate stimulus.
+//! simultaneously, exactly like the netlist-level compiled simulator does
+//! for gate stimulus.
 //!
 //! This module provides the conversions between the two layouts:
 //!
@@ -151,6 +151,29 @@ pub fn lanes_from_planes32(planes: &[u64; 32]) -> [u32; LANES] {
         lanes[32 + q] = (w[q] >> 32) as u32;
     }
     lanes
+}
+
+/// Recovers 64 lane values from up to 64 bit-planes (`out[i]` = lane
+/// `i`'s value), using the cheaper 16- and 32-plane block networks when
+/// the values are narrow enough.
+///
+/// # Panics
+///
+/// Panics if more than [`LANES`] planes are passed.
+pub fn lanes_from_planes(planes: &[u64], out: &mut [u64; LANES]) {
+    if planes.len() <= 16 {
+        let mut w = [0u64; 16];
+        w[..planes.len()].copy_from_slice(planes);
+        *out = lanes_from_planes16(&w).map(u64::from);
+    } else if planes.len() <= 32 {
+        let mut w = [0u64; 32];
+        w[..planes.len()].copy_from_slice(planes);
+        *out = lanes_from_planes32(&w).map(u64::from);
+    } else {
+        let mut w = [0u64; LANES];
+        w[..planes.len()].copy_from_slice(planes);
+        *out = transposed64(&w);
+    }
 }
 
 /// Fills `out[j]` with the plane of a value broadcast to all 64 lanes:

@@ -20,6 +20,7 @@
 
 use std::process::ExitCode;
 
+use sdlc::core::batch::{exhaustive_block, exhaustive_block_signed, LANES};
 use sdlc::core::circuits::{accurate_multiplier, sdlc_multiplier, ReductionScheme};
 use sdlc::core::error::{
     exhaustive_signed_with_engine, exhaustive_with_engine, mean_error_distance,
@@ -31,6 +32,7 @@ use sdlc::core::{
 };
 use sdlc::imgproc::{psnr, scenes, scharr_magnitude, sobel_magnitude, write_pgm};
 use sdlc::netlist::{passes, to_verilog};
+use sdlc::sim::equiv::{check, check_signed, Batched, Sweep};
 use sdlc::synth::{analyze, AnalysisOptions};
 use sdlc::techlib::Library;
 
@@ -41,7 +43,8 @@ USAGE:
   sdlc-cli <command> [options]
 
 COMMANDS:
-  errors    error metrics (exhaustive <=12 bits, Monte-Carlo above)
+  errors    error metrics (exhaustive <=12 bits scalar, <=20 bits
+            bitsliced; Monte-Carlo above)
   verify    check the generated netlist against its functional model
             (exhaustive for narrow widths, sampled + corners above)
   sobel     Sobel edge detection through approximate signed multipliers
@@ -65,13 +68,14 @@ OPTIONS:
                    bitsliced packs 64 multiplications into word-wide
                    bit-plane ops, exhaustive up to 20 bits (2^40 pairs);
                    verify: scalar | compiled (default compiled) —
-                   compiled flattens the netlist once and sweeps 64
+                   compiled flattens the netlist once and sweeps 512
                    vectors per pass across all cores
   --signed         evaluate the signed (two's-complement) sign-magnitude
                    wrapping of the design: `errors` sweeps the signed
                    operand range with signed ED/RED statistics
   --samples K      Monte-Carlo samples for wide widths (`errors`
-                   default 2^22; `verify` default 2048 netlist sweeps)
+                   default 2^22; `verify` default 2048 operand pairs
+                   after the corner cases)
   --size W,H       scene size for `sobel` (default 200,200)
   --out PATH       output path for `verilog` (default stdout); for
                    `sobel`, a directory receiving the PGM before/after set
@@ -359,16 +363,26 @@ fn cmd_verify(options: &Options) -> Result<(), String> {
         core::slice::from_ref(&options.scheme)
     };
     // The compiled engine packs 512 vectors per netlist sweep and shards
-    // rows across cores; batching the model side through its bit-sliced
-    // twin lifts the practical exhaustive ceiling from 8 (scalar) to 12
-    // bits unsigned (10 signed — the signed model has no batched
-    // exhaustive path yet). Above the ceiling, seeded sampling plus the
-    // corner patterns.
+    // rows across cores, and both domains batch the model side through a
+    // bit-sliced twin 64 pairs per call, which lifts the practical
+    // exhaustive ceiling from 8 (scalar) to 12 bits unsigned. Signed
+    // checks keep the 10-bit ceiling that `perfbench/trace` mirrors.
+    // Above the ceiling, seeded sampling plus the corner patterns.
     let cutoff = match (engine, options.signed) {
         (sdlc::sim::Engine::Scalar, _) => 8,
         (sdlc::sim::Engine::Compiled, true) => 10,
         (sdlc::sim::Engine::Compiled, false) => 12,
     };
+    let sweep = if width <= cutoff {
+        Sweep::Exhaustive
+    } else {
+        Sweep::Sampled {
+            samples,
+            seed: 0x5D1C,
+        }
+    };
+    let exhaustive = sweep == Sweep::Exhaustive;
+    let coverage = sweep.coverage(width, options.signed);
     let mut records = Vec::new();
     for &scheme in schemes {
         let mut netlist = sdlc_multiplier(&model, scheme);
@@ -381,59 +395,29 @@ fn cmd_verify(options: &Options) -> Result<(), String> {
                 netlist.name()
             );
         }
-        let exhaustive = width <= cutoff;
-        let pairs = if exhaustive {
-            1u64 << (2 * width)
-        } else {
-            9 + samples
-        };
-        let coverage = if exhaustive {
-            format!(
-                "exhaustive, {} {}operand pairs",
-                1u64 << (2 * width),
-                if options.signed { "signed " } else { "" }
-            )
-        } else if options.signed {
-            format!("sampled, 25 signed corners + {samples} seeded pairs")
-        } else {
-            format!("sampled, 9 corners + {samples} seeded pairs")
-        };
+        // The bit-sliced twins stop at 32 bits; only exhaustive sweeps,
+        // all narrower than that, read blocks.
         let outcome: Result<(), String> = if options.signed {
             let signed = SignMagnitude::new(model.clone());
-            let reference = |a: i128, b: i128| signed.multiply_signed(a, b);
-            if exhaustive {
-                sdlc::sim::equiv::check_exhaustive_signed_with_engine(
-                    &netlist, width, reference, engine,
-                )
-                .map_err(|e| e.to_string())
-            } else {
-                sdlc::sim::equiv::check_sampled_signed_with_engine(
-                    &netlist, width, samples, 0x5D1C, reference, engine,
-                )
-                .map_err(|e| e.to_string())
-            }
-        } else if exhaustive && engine == sdlc::sim::Engine::Compiled {
-            // Batched model side: one bit-sliced call per 64 consecutive
-            // operand pairs instead of 64 scalar model calls.
-            let batch = model.batch_model();
-            sdlc::sim::equiv::check_exhaustive_batched(
-                &netlist,
-                width,
-                |a, b0, out| sdlc::core::batch::exhaustive_block(&batch, a, b0, out),
-                engine,
-            )
-            .map_err(|e| e.to_string())
+            let batch = exhaustive.then(|| signed.batch_model());
+            let reference = Batched {
+                pair: |a, b| signed.multiply_signed(a, b),
+                block: |a, b0, out: &mut [u64; LANES]| {
+                    let batch = batch.as_ref().expect("built for exhaustive sweeps");
+                    exhaustive_block_signed(batch, a, b0, out);
+                },
+            };
+            check_signed(&netlist, width, sweep, reference, engine).map_err(|e| e.to_string())
         } else {
-            let reference = |a: u128, b: u128| model.multiply(a, b);
-            if exhaustive {
-                sdlc::sim::equiv::check_exhaustive_with_engine(&netlist, width, reference, engine)
-                    .map_err(|e| e.to_string())
-            } else {
-                sdlc::sim::equiv::check_sampled_with_engine(
-                    &netlist, width, samples, 0x5D1C, reference, engine,
-                )
-                .map_err(|e| e.to_string())
-            }
+            let batch = exhaustive.then(|| model.batch_model());
+            let reference = Batched {
+                pair: |a, b| model.multiply(a, b),
+                block: |a, b0, out: &mut [u64; LANES]| {
+                    let batch = batch.as_ref().expect("built for exhaustive sweeps");
+                    exhaustive_block(batch, a, b0, out);
+                },
+            };
+            check(&netlist, width, sweep, reference, engine).map_err(|e| e.to_string())
         };
         if !options.json {
             match &outcome {
@@ -444,11 +428,8 @@ fn cmd_verify(options: &Options) -> Result<(), String> {
         records.push(VerifyRecord {
             design: netlist.name().to_string(),
             scheme: scheme.tag(),
-            coverage,
-            outcome: match outcome {
-                Ok(()) => Ok(pairs),
-                Err(e) => Err(e),
-            },
+            coverage: coverage.clone(),
+            outcome: outcome.map(|()| sweep.pairs(width, options.signed)),
         });
     }
     if options.json {

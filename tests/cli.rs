@@ -183,6 +183,17 @@ fn verify_emits_machine_readable_json() {
         "{stdout}"
     );
     assert!(stdout.contains("\"pairs\":209"), "{stdout}");
+    // Signed sampling opens with 25 corner pairs, and counts them.
+    let args: Vec<_> = "verify --width 16 --signed --samples 100 --json"
+        .split(' ')
+        .collect();
+    let (stdout, _, ok) = run(&args);
+    assert!(ok, "{stdout}");
+    assert!(
+        stdout.contains("\"coverage\":\"sampled, 25 signed corners + 100 seeded pairs\""),
+        "{stdout}"
+    );
+    assert!(stdout.contains("\"pairs\":125"), "{stdout}");
     // --json is a verify-only flag.
     let (_, stderr, ok) = run(&["errors", "--width", "8", "--json"]);
     assert!(!ok);

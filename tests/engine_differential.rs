@@ -1,8 +1,12 @@
 //! Differential proof that the compiled gate-sim engine is a bit-exact
-//! twin of the structural engines: identical values on every net,
-//! identical per-net toggle totals, identical equivalence verdicts —
-//! including the *same first* counterexample when a bug is planted.
+//! twin of the scalar `LogicSim` reference: identical values on every net
+//! in every lane, identical per-net toggle totals, identical equivalence
+//! verdicts — including the *same first* counterexample when a bug is
+//! planted.
 
+mod common;
+
+use common::lanewise_reference;
 use proptest::prelude::*;
 use sdlc::core::baselines::{EtmMultiplier, KulkarniMultiplier, TruncatedMultiplier};
 use sdlc::core::circuits::{
@@ -11,12 +15,9 @@ use sdlc::core::circuits::{
 };
 use sdlc::core::{Multiplier, SdlcMultiplier, SignMagnitude, SignedMultiplier};
 use sdlc::netlist::Netlist;
-use sdlc::sim::activity::random_activity_with_engine;
-use sdlc::sim::equiv::{
-    check_exhaustive_batched, check_exhaustive_signed_with_engine, check_exhaustive_with_engine,
-    check_sampled_signed_with_engine, check_sampled_with_engine,
-};
-use sdlc::sim::{BitParallelSim, CompiledNetlist, CompiledSim, Engine, LogicSim};
+use sdlc::sim::activity::random_activity;
+use sdlc::sim::equiv::{check, check_signed, Batched, Sweep};
+use sdlc::sim::{CompiledNetlist, CompiledSim, Engine};
 use sdlc::wideint::{SplitMix64, I256, U256};
 
 /// Builds a random feed-forward gate DAG: `inputs` primary inputs, then
@@ -56,9 +57,9 @@ fn random_dag(inputs: u32, ops: &[(u8, u32, u32, u32)]) -> Netlist {
 }
 
 proptest! {
-    /// On random gate DAGs, the compiled program and the structural
-    /// engines agree on every net's value in every lane, and on every
-    /// net's toggle count — across a multi-word stimulus stream.
+    /// On random gate DAGs, the compiled program and 64 lane-wise
+    /// `LogicSim` streams agree on every net's value in every lane, and
+    /// on every net's toggle count — across a multi-word stimulus stream.
     #[test]
     fn compiled_matches_structural_on_random_dags(
         inputs in 1u32..7,
@@ -69,45 +70,41 @@ proptest! {
         n.validate().unwrap();
         let program = CompiledNetlist::compile(&n);
         let mut compiled = CompiledSim::new(&program);
-        let mut structural = BitParallelSim::new(&n);
         let mut rng = SplitMix64::new(seed);
         let words: Vec<Vec<u64>> = (0..4)
             .map(|_| (0..inputs).map(|_| rng.next_u64()).collect())
             .collect();
         for word in &words {
             compiled.apply(word);
-            structural.apply(word);
         }
+        let (planes, toggles) = lanewise_reference(&n, &words);
         for gate in n.gates() {
             let net = gate.output;
-            for lane in [0u32, 17, 63] {
-                prop_assert_eq!(
-                    compiled.lane_value(net, lane),
-                    structural.lane_value(net, lane),
-                    "net {} lane {}", net, lane
-                );
-            }
+            prop_assert_eq!(compiled.plane(net), planes[net.index()], "net {}", net);
         }
-        prop_assert_eq!(compiled.toggles_per_net(), structural.toggles().to_vec());
-
-        // And one lane against the scalar reference engine.
-        let mut scalar = LogicSim::new(&n);
-        for word in &words {
-            let bits: Vec<bool> = word.iter().map(|&w| (w >> 11) & 1 == 1).collect();
-            scalar.apply(&bits);
-        }
-        for gate in n.gates() {
-            prop_assert_eq!(
-                compiled.lane_value(gate.output, 11),
-                scalar.value(gate.output),
-                "net {}", gate.output
-            );
-        }
+        prop_assert_eq!(compiled.toggles_per_net(), toggles);
     }
 }
 
-/// Every circuit generator family passes its model check identically on
-/// both engines, and its activity capture produces identical toggles.
+fn sampled(samples: u64, seed: u64) -> Sweep {
+    Sweep::Sampled { samples, seed }
+}
+
+/// `random_activity` over `vectors` vectors from `seed` equals the
+/// toggles of its stimulus stream fed lane by lane through `LogicSim`.
+fn assert_activity_matches_reference(netlist: &Netlist, seed: u64, vectors: u64) {
+    let activity = random_activity(netlist, seed, vectors);
+    let mut rng = SplitMix64::new(seed);
+    let words: Vec<Vec<u64>> = (0..=vectors.div_ceil(64))
+        .map(|_| netlist.inputs().iter().map(|_| rng.next_u64()).collect())
+        .collect();
+    let (_, toggles) = lanewise_reference(netlist, &words);
+    assert_eq!(activity.toggles_per_net, toggles, "{}", netlist.name());
+    assert_eq!(activity.transition_count, vectors.div_ceil(64) * 64);
+}
+
+/// Every circuit generator family passes its model check on the compiled
+/// engine, and its activity capture matches the lane-wise reference.
 #[test]
 fn every_generator_agrees_across_engines() {
     let scheme = ReductionScheme::RippleRows;
@@ -139,39 +136,36 @@ fn every_generator_agrees_across_engines() {
         ),
     ];
     for (netlist, model) in &netlists {
-        check_exhaustive_with_engine(netlist, 6, model, Engine::Compiled)
+        check(netlist, 6, Sweep::Exhaustive, model, Engine::Compiled)
             .unwrap_or_else(|e| panic!("{}: {e}", netlist.name()));
-        let compiled = random_activity_with_engine(netlist, 0xD1FF, 320, Engine::Compiled);
-        let structural = random_activity_with_engine(netlist, 0xD1FF, 320, Engine::Scalar);
-        assert_eq!(compiled, structural, "{}", netlist.name());
+        assert_activity_matches_reference(netlist, 0xD1FF, 320);
     }
     // Kulkarni requires power-of-two widths; cover it at 8 bits.
     let kulkarni = KulkarniMultiplier::new(8).unwrap();
     let kulkarni_netlist = kulkarni_multiplier(8, scheme).unwrap();
-    check_exhaustive_with_engine(
+    let reference = |a, b| kulkarni.multiply(a, b);
+    check(
         &kulkarni_netlist,
         8,
-        |a, b| kulkarni.multiply(a, b),
+        Sweep::Exhaustive,
+        reference,
         Engine::Compiled,
     )
     .unwrap();
-    assert_eq!(
-        random_activity_with_engine(&kulkarni_netlist, 0xD1FF, 320, Engine::Compiled),
-        random_activity_with_engine(&kulkarni_netlist, 0xD1FF, 320, Engine::Scalar),
-    );
+    assert_activity_matches_reference(&kulkarni_netlist, 0xD1FF, 320);
     // The signed periphery (conditional negation, mux trees) too.
     let signed_model = SignMagnitude::new(SdlcMultiplier::new(6, 2).unwrap());
     let signed_netlist = signed_multiplier(&sdlc_multiplier(signed_model.inner(), scheme), 6);
-    check_exhaustive_signed_with_engine(
+    let reference = |a, b| signed_model.multiply_signed(a, b);
+    check_signed(
         &signed_netlist,
         6,
-        |a, b| signed_model.multiply_signed(a, b),
+        Sweep::Exhaustive,
+        reference,
         Engine::Compiled,
     )
     .unwrap();
-    let compiled = random_activity_with_engine(&signed_netlist, 3, 256, Engine::Compiled);
-    let structural = random_activity_with_engine(&signed_netlist, 3, 256, Engine::Scalar);
-    assert_eq!(compiled, structural);
+    assert_activity_matches_reference(&signed_netlist, 3, 256);
 }
 
 /// A planted model bug must surface as the *same first* counterexample
@@ -190,20 +184,19 @@ fn planted_bug_yields_identical_first_counterexample() {
             p
         }
     };
-    let scalar = check_exhaustive_with_engine(&netlist, 6, wrong, Engine::Scalar).unwrap_err();
-    let compiled = check_exhaustive_with_engine(&netlist, 6, wrong, Engine::Compiled).unwrap_err();
-    assert_eq!(scalar, compiled);
-    assert_eq!((scalar.a, scalar.b), (37, 21));
+    let first = same_first_mismatch(
+        |engine| check(&netlist, 6, Sweep::Exhaustive, wrong, engine),
+        "stripe",
+    );
+    assert_eq!((first.a, first.b), (37, 21));
 
     // Sampled sweeps: the corner cases and seeded draw order are shared,
     // so the first failing *sample* matches as well.
     let wrong_everywhere = |a: u128, b: u128| model.multiply(a, b).wrapping_add(&U256::ONE);
-    let scalar = check_sampled_with_engine(&netlist, 6, 100, 7, wrong_everywhere, Engine::Scalar)
-        .unwrap_err();
-    let compiled =
-        check_sampled_with_engine(&netlist, 6, 100, 7, wrong_everywhere, Engine::Compiled)
-            .unwrap_err();
-    assert_eq!(scalar, compiled);
+    same_first_mismatch(
+        |engine| check(&netlist, 6, sampled(100, 7), wrong_everywhere, engine),
+        "sampled",
+    );
 }
 
 /// The compiled engine's verdict is also *positive*-identical: a passing
@@ -213,8 +206,14 @@ fn sampled_verdicts_match_on_wide_designs() {
     let model = SdlcMultiplier::new(16, 3).unwrap();
     let netlist = sdlc_multiplier(&model, ReductionScheme::Dadda);
     for engine in [Engine::Scalar, Engine::Compiled] {
-        check_sampled_with_engine(&netlist, 16, 200, 5, |a, b| model.multiply(a, b), engine)
-            .unwrap_or_else(|e| panic!("{engine}: {e}"));
+        check(
+            &netlist,
+            16,
+            sampled(200, 5),
+            |a, b| model.multiply(a, b),
+            engine,
+        )
+        .unwrap_or_else(|e| panic!("{engine}: {e}"));
     }
 }
 
@@ -232,19 +231,20 @@ const WIDE_SCHEMES: [ReductionScheme; 4] = [
 fn wide_product_buses_pass_on_both_engines() {
     let model = SdlcMultiplier::new(64, 4).unwrap();
     let signed_model = SignMagnitude::new(model.clone());
+    let reference = |a, b| model.multiply(a, b);
+    let signed_reference = |a, b| signed_model.multiply_signed(a, b);
     for scheme in WIDE_SCHEMES {
         let netlist = sdlc_multiplier(&model, scheme);
         assert_eq!(netlist.bus("p").unwrap().len(), 128);
         let signed_netlist = signed_multiplier(&netlist, 64);
         for engine in [Engine::Scalar, Engine::Compiled] {
-            check_sampled_with_engine(&netlist, 64, 120, 3, |a, b| model.multiply(a, b), engine)
+            check(&netlist, 64, sampled(120, 3), reference, engine)
                 .unwrap_or_else(|e| panic!("{scheme:?} {engine}: {e}"));
-            check_sampled_signed_with_engine(
+            check_signed(
                 &signed_netlist,
                 64,
-                120,
-                3,
-                |a, b| signed_model.multiply_signed(a, b),
+                sampled(120, 3),
+                signed_reference,
                 engine,
             )
             .unwrap_or_else(|e| panic!("signed {scheme:?} {engine}: {e}"));
@@ -275,14 +275,13 @@ fn planted_wide_bug_yields_identical_first_counterexample() {
     let model = SdlcMultiplier::new(64, 4).unwrap();
     let netlist = plant_high_product_bug(&sdlc_multiplier(&model, ReductionScheme::Dadda), 100);
     let reference = |a: u128, b: u128| model.multiply(a, b);
-    let scalar =
-        check_sampled_with_engine(&netlist, 64, 200, 11, reference, Engine::Scalar).unwrap_err();
-    let compiled =
-        check_sampled_with_engine(&netlist, 64, 200, 11, reference, Engine::Compiled).unwrap_err();
-    assert_eq!(scalar, compiled);
-    assert!(scalar.a >> 63 == 1 && (scalar.b >> 62) & 3 == 1, "{scalar}");
+    let first = same_first_mismatch(
+        |engine| check(&netlist, 64, sampled(200, 11), reference, engine),
+        "unsigned",
+    );
+    assert!(first.a >> 63 == 1 && (first.b >> 62) & 3 == 1, "{first}");
     assert_eq!(
-        (scalar.netlist_product ^ scalar.model_product),
+        (first.netlist_product ^ first.model_product),
         U256::ONE << 100
     );
 
@@ -292,14 +291,11 @@ fn planted_wide_bug_yields_identical_first_counterexample() {
         127,
     );
     let reference = |a: i128, b: i128| signed_model.multiply_signed(a, b);
-    let scalar =
-        check_sampled_signed_with_engine(&signed_netlist, 64, 200, 5, reference, Engine::Scalar)
-            .unwrap_err();
-    let compiled =
-        check_sampled_signed_with_engine(&signed_netlist, 64, 200, 5, reference, Engine::Compiled)
-            .unwrap_err();
-    assert_eq!(scalar, compiled);
-    assert!(scalar.a < 0 && scalar.b >= 1 << 62, "{scalar}");
+    let first = same_first_mismatch(
+        |engine| check_signed(&signed_netlist, 64, sampled(200, 5), reference, engine),
+        "signed",
+    );
+    assert!(first.a < 0 && first.b >= 1 << 62, "{first}");
 }
 
 proptest! {
@@ -381,90 +377,125 @@ fn planted_positions(width: u32) -> Vec<u64> {
     positions
 }
 
+/// Runs one exhaustive check on both engines, asserts that they fail
+/// with the same first counterexample and returns it.
+fn same_first_mismatch<R: PartialEq + std::fmt::Debug>(
+    run: impl Fn(Engine) -> Result<(), Box<R>>,
+    context: &str,
+) -> Box<R> {
+    let scalar = run(Engine::Scalar).unwrap_err();
+    assert_eq!(scalar, run(Engine::Compiled).unwrap_err(), "{context}");
+    scalar
+}
+
 /// At widths 2–7, where 512-lane groups span rows, the exact model passes
 /// on both engines; and a model bug planted at row-major pair index `at`
 /// and every pair after it — so later words of the group, later groups
 /// and later chunks fail too — must surface as the same first
-/// counterexample (the planted pair) on both engines: per-pair, batched
-/// and signed.
+/// counterexample (the planted pair) on both engines: per-pair and
+/// batched, unsigned and signed.
 #[test]
 fn planted_bug_in_every_group_word_yields_identical_first_counterexample() {
     for width in 2u32..=7 {
         let count = 1u64 << width;
         let netlist = exact_multiplier(width);
         let signed_netlist = signed_multiplier(&netlist, width);
+        let signed = |pattern: u64| ((pattern << (64 - width)) as i64) >> (64 - width);
+        let exact = |a: u128, b: u128| U256::from_u128(a * b);
+        let exact_signed = |a: i128, b: i128| I256::from_i128(a * b);
+        let exact_block = |a: u64, b0: u64, out: &mut [u64; 64]| {
+            for (i, lane) in out.iter_mut().enumerate() {
+                *lane = a * ((b0 + i as u64) % count);
+            }
+        };
+        let exact_signed_block = |a: u64, b0: u64, out: &mut [u64; 64]| {
+            for (i, lane) in out.iter_mut().enumerate() {
+                *lane = (signed(a) * signed((b0 + i as u64) % count)) as u64;
+            }
+        };
+        let sweep = Sweep::Exhaustive;
         for engine in [Engine::Scalar, Engine::Compiled] {
-            let exact = |a: u128, b: u128| U256::from_u128(a * b);
-            check_exhaustive_with_engine(&netlist, width, exact, engine).unwrap();
-            let exact_block = |a: u64, b0: u64, out: &mut [u64; 64]| {
-                for (i, lane) in out.iter_mut().enumerate() {
-                    *lane = a * ((b0 + i as u64) % count);
-                }
+            check(&netlist, width, sweep, exact, engine).unwrap();
+            let batched = Batched {
+                pair: exact,
+                block: exact_block,
             };
-            check_exhaustive_batched(&netlist, width, exact_block, engine).unwrap();
-            let exact_signed = |a: i128, b: i128| I256::from_i128(a * b);
-            check_exhaustive_signed_with_engine(&signed_netlist, width, exact_signed, engine)
-                .unwrap();
+            check(&netlist, width, sweep, batched, engine).unwrap();
+            check_signed(&signed_netlist, width, sweep, exact_signed, engine).unwrap();
+            let batched = Batched {
+                pair: exact_signed,
+                block: exact_signed_block,
+            };
+            check_signed(&signed_netlist, width, sweep, batched, engine).unwrap();
         }
         for at in planted_positions(width) {
-            let (bug_a, bug_b) = (at / count, at % count);
-            let hit = |a: u64, b: u64| a * count + b >= at;
-            let wrong = |a: u128, b: u128| {
-                let p = U256::from_u128(a * b);
-                if hit(a as u64, b as u64) {
-                    p ^ U256::ONE
-                } else {
-                    p
-                }
-            };
-            let scalar =
-                check_exhaustive_with_engine(&netlist, width, wrong, Engine::Scalar).unwrap_err();
-            let compiled =
-                check_exhaustive_with_engine(&netlist, width, wrong, Engine::Compiled).unwrap_err();
-            assert_eq!(scalar, compiled, "width {width} at {at}");
-            assert_eq!((scalar.a, scalar.b), (u128::from(bug_a), u128::from(bug_b)));
+            let planted = (at / count, at % count);
+            let hit = |a: u64, b: u64| b < count && a * count + b >= at;
+            let context = format!("width {width} at {at}");
 
+            let wrong = |a: u128, b: u128| {
+                U256::from_u128(a * b) ^ U256::from_u128(u128::from(hit(a as u64, b as u64)))
+            };
             let wrong_block = |a: u64, b0: u64, out: &mut [u64; 64]| {
+                exact_block(a, b0, out);
                 for (i, lane) in out.iter_mut().enumerate() {
-                    let b = b0 + i as u64;
-                    *lane = (a * (b % count)) ^ u64::from(b < count && hit(a, b));
+                    *lane ^= u64::from(hit(a, b0 + i as u64));
                 }
             };
-            let scalar =
-                check_exhaustive_batched(&netlist, width, wrong_block, Engine::Scalar).unwrap_err();
-            let compiled = check_exhaustive_batched(&netlist, width, wrong_block, Engine::Compiled)
-                .unwrap_err();
-            assert_eq!(scalar, compiled, "batched width {width} at {at}");
-            assert_eq!((scalar.a, scalar.b), (u128::from(bug_a), u128::from(bug_b)));
+            let unsigned = [
+                same_first_mismatch(
+                    |engine| check(&netlist, width, sweep, wrong, engine),
+                    &context,
+                ),
+                same_first_mismatch(
+                    |engine| {
+                        let model = Batched {
+                            pair: exact,
+                            block: wrong_block,
+                        };
+                        check(&netlist, width, sweep, model, engine)
+                    },
+                    &format!("batched {context}"),
+                ),
+            ];
+            for mismatch in unsigned {
+                assert_eq!((mismatch.a as u64, mismatch.b as u64), planted);
+            }
 
             let mask = count as i128 - 1;
             let wrong_signed = |a: i128, b: i128| {
-                let p = I256::from_i128(a * b);
-                if hit((a & mask) as u64, (b & mask) as u64) {
-                    p.wrapping_add(&I256::from_i128(1))
-                } else {
-                    p
+                let bug = hit((a & mask) as u64, (b & mask) as u64);
+                I256::from_i128(a * b + i128::from(bug))
+            };
+            let wrong_signed_block = |a: u64, b0: u64, out: &mut [u64; 64]| {
+                exact_signed_block(a, b0, out);
+                for (i, lane) in out.iter_mut().enumerate() {
+                    *lane = lane.wrapping_add(u64::from(hit(a, b0 + i as u64)));
                 }
             };
-            let scalar = check_exhaustive_signed_with_engine(
-                &signed_netlist,
-                width,
-                wrong_signed,
-                Engine::Scalar,
-            )
-            .unwrap_err();
-            let compiled = check_exhaustive_signed_with_engine(
-                &signed_netlist,
-                width,
-                wrong_signed,
-                Engine::Compiled,
-            )
-            .unwrap_err();
-            assert_eq!(scalar, compiled, "signed width {width} at {at}");
-            assert_eq!(
-                ((scalar.a & mask) as u64, (scalar.b & mask) as u64),
-                (bug_a, bug_b)
-            );
+            let signed = [
+                same_first_mismatch(
+                    |engine| {
+                        let model = wrong_signed;
+                        check_signed(&signed_netlist, width, sweep, model, engine)
+                    },
+                    &format!("signed {context}"),
+                ),
+                same_first_mismatch(
+                    |engine| {
+                        let model = Batched {
+                            pair: exact_signed,
+                            block: wrong_signed_block,
+                        };
+                        check_signed(&signed_netlist, width, sweep, model, engine)
+                    },
+                    &format!("signed batched {context}"),
+                ),
+            ];
+            for mismatch in signed {
+                let pattern = |v: i128| (v & mask) as u64;
+                assert_eq!((pattern(mismatch.a), pattern(mismatch.b)), planted);
+            }
         }
     }
 }
@@ -507,11 +538,10 @@ fn streamed_sampled_pairs_match_the_materialized_sequence() {
                 let record = |engine: Engine, fail: &HashSet<(u128, u128)>| {
                     let seen = Mutex::new(Vec::new());
                     let verdict = if signed {
-                        check_sampled_signed_with_engine(
+                        check_signed(
                             &netlist,
                             width,
-                            samples,
-                            17,
+                            sampled(samples, 17),
                             |a, b| {
                                 let pattern = (a as u128 & mask, b as u128 & mask);
                                 seen.lock().unwrap().push(pattern);
@@ -528,11 +558,10 @@ fn streamed_sampled_pairs_match_the_materialized_sequence() {
                         .err()
                         .map(|m| (m.a as u128 & mask, m.b as u128 & mask))
                     } else {
-                        check_sampled_with_engine(
+                        check(
                             &netlist,
                             width,
-                            samples,
-                            17,
+                            sampled(samples, 17),
                             |a, b| {
                                 seen.lock().unwrap().push((a, b));
                                 echo(width, a, b)

@@ -3,9 +3,12 @@
 //! transition totals (functional toggles *and* glitches), identical total
 //! transition counts and settle times for identical per-lane streams —
 //! plus the folding contract of the zero-delay compiled engine
-//! (const-prop/CSE programs bit-identical to the structural engines,
-//! toggles included).
+//! (const-prop/CSE programs bit-identical to lane-wise `LogicSim`
+//! streams, toggles included).
 
+mod common;
+
+use common::lanewise_reference;
 use proptest::prelude::*;
 use sdlc::core::baselines::TruncatedMultiplier;
 use sdlc::core::circuits::{
@@ -15,9 +18,7 @@ use sdlc::core::circuits::{
 use sdlc::core::SdlcMultiplier;
 use sdlc::netlist::Netlist;
 use sdlc::sim::activity::{glitch_activity, timing_activity_with_engine};
-use sdlc::sim::{
-    BitParallelSim, CompiledNetlist, CompiledSim, Engine, GlitchSim, TimedProgram, TimingSim,
-};
+use sdlc::sim::{CompiledNetlist, CompiledSim, Engine, GlitchSim, TimedProgram, TimingSim};
 use sdlc::techlib::Library;
 use sdlc::wideint::SplitMix64;
 
@@ -213,8 +214,9 @@ proptest! {
         assert_glitch_match_on(&n, &lib, &words, 8);
     }
 
-    /// Deeper zero-delay folding stays bit-identical to the structural
-    /// engine on DAGs stuffed with const feeds and duplicate gates.
+    /// Deeper zero-delay folding stays bit-identical to the lane-wise
+    /// `LogicSim` reference on DAGs stuffed with const feeds and duplicate
+    /// gates.
     #[test]
     fn folding_keeps_values_and_toggles_bit_identical(
         inputs in 1u32..6,
@@ -243,24 +245,19 @@ proptest! {
         let program = CompiledNetlist::compile(&n);
         prop_assert!(program.op_count() <= n.cell_count());
         let mut compiled = CompiledSim::new(&program);
-        let mut structural = BitParallelSim::new(&n);
         let mut rng = SplitMix64::new(seed);
         let words: Vec<Vec<u64>> = (0..4)
             .map(|_| (0..inputs).map(|_| rng.next_u64()).collect())
             .collect();
         for word in &words {
             compiled.apply(word);
-            structural.apply(word);
         }
+        let (planes, toggles) = lanewise_reference(&n, &words);
         for gate in n.gates() {
             let net = gate.output;
-            let mut plane = 0u64;
-            for lane in 0..64 {
-                plane |= u64::from(structural.lane_value(net, lane)) << lane;
-            }
-            prop_assert_eq!(compiled.plane(net), plane, "net {}", net);
+            prop_assert_eq!(compiled.plane(net), planes[net.index()], "net {}", net);
         }
-        prop_assert_eq!(compiled.toggles_per_net(), structural.toggles().to_vec());
+        prop_assert_eq!(compiled.toggles_per_net(), toggles);
     }
 }
 

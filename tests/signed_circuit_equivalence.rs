@@ -13,8 +13,13 @@ use sdlc::core::{
     AccurateMultiplier, ClusterVariant, SdlcMultiplier, SignMagnitude, SignedMultiplier,
 };
 use sdlc::netlist::passes;
-use sdlc::sim::equiv::{check_exhaustive_signed, check_sampled_signed};
+use sdlc::sim::equiv::{check_signed, Sweep};
+use sdlc::sim::Engine;
 use sdlc::wideint::I256;
+
+fn exact(a: i128, b: i128) -> I256 {
+    I256::from_i128(a * b)
+}
 
 #[test]
 fn signed_accurate_is_exhaustively_exact_to_8_bits() {
@@ -22,7 +27,7 @@ fn signed_accurate_is_exhaustively_exact_to_8_bits() {
         for scheme in [ReductionScheme::RippleRows, ReductionScheme::Wallace] {
             let netlist = signed_accurate_multiplier(width, scheme).unwrap();
             netlist.validate().unwrap();
-            check_exhaustive_signed(&netlist, width, |a, b| I256::from_i128(a * b))
+            check_signed(&netlist, width, Sweep::Exhaustive, exact, Engine::Scalar)
                 .unwrap_or_else(|e| panic!("{width}-bit {scheme:?}: {e}"));
         }
     }
@@ -36,7 +41,8 @@ fn signed_sdlc_matches_its_model_exhaustively_at_8_bits() {
             let netlist = signed_sdlc_multiplier(&model, ReductionScheme::RippleRows);
             netlist.validate().unwrap();
             let signed = SignMagnitude::new(model);
-            check_exhaustive_signed(&netlist, 8, |a, b| signed.multiply_signed(a, b))
+            let reference = |a, b| signed.multiply_signed(a, b);
+            check_signed(&netlist, 8, Sweep::Exhaustive, reference, Engine::Scalar)
                 .unwrap_or_else(|e| panic!("{}: {e}", netlist.name()));
         }
     }
@@ -48,17 +54,20 @@ fn signed_baselines_match_exhaustively_at_8_bits() {
 
     let etm = SignMagnitude::new(EtmMultiplier::new(8).unwrap());
     let netlist = signed_multiplier(&etm_multiplier(8, scheme).unwrap(), 8);
-    check_exhaustive_signed(&netlist, 8, |a, b| etm.multiply_signed(a, b)).unwrap();
+    let reference = |a, b| etm.multiply_signed(a, b);
+    check_signed(&netlist, 8, Sweep::Exhaustive, reference, Engine::Scalar).unwrap();
 
     let kulkarni = SignMagnitude::new(KulkarniMultiplier::new(8).unwrap());
     let netlist = signed_multiplier(&kulkarni_multiplier(8, scheme).unwrap(), 8);
-    check_exhaustive_signed(&netlist, 8, |a, b| kulkarni.multiply_signed(a, b)).unwrap();
+    let reference = |a, b| kulkarni.multiply_signed(a, b);
+    check_signed(&netlist, 8, Sweep::Exhaustive, reference, Engine::Scalar).unwrap();
 
     for dropped in [3u32, 7] {
         let model = TruncatedMultiplier::new(8, dropped).unwrap();
         let netlist = signed_multiplier(&truncated_multiplier(&model, scheme), 8);
         let signed = SignMagnitude::new(model);
-        check_exhaustive_signed(&netlist, 8, |a, b| signed.multiply_signed(a, b))
+        let reference = |a, b| signed.multiply_signed(a, b);
+        check_signed(&netlist, 8, Sweep::Exhaustive, reference, Engine::Scalar)
             .unwrap_or_else(|e| panic!("trunc {dropped}: {e}"));
     }
 }
@@ -67,14 +76,19 @@ fn signed_baselines_match_exhaustively_at_8_bits() {
 fn sampled_equivalence_at_16_bits() {
     // 2^32 pairs are out of reach; seeded sampling plus the signed corner
     // patterns (0, ±1, MAX, MIN crossed) stand in.
-    let exact = signed_accurate_multiplier(16, ReductionScheme::RippleRows).unwrap();
-    check_sampled_signed(&exact, 16, 400, 5, |a, b| I256::from_i128(a * b)).unwrap();
+    let sweep = Sweep::Sampled {
+        samples: 400,
+        seed: 5,
+    };
+    let accurate = signed_accurate_multiplier(16, ReductionScheme::RippleRows).unwrap();
+    check_signed(&accurate, 16, sweep, exact, Engine::Scalar).unwrap();
 
     for depth in [2u32, 4] {
         let model = SdlcMultiplier::new(16, depth).unwrap();
         let netlist = signed_sdlc_multiplier(&model, ReductionScheme::Dadda);
         let signed = SignMagnitude::new(model);
-        check_sampled_signed(&netlist, 16, 400, 5, |a, b| signed.multiply_signed(a, b))
+        let reference = |a, b| signed.multiply_signed(a, b);
+        check_signed(&netlist, 16, sweep, reference, Engine::Scalar)
             .unwrap_or_else(|e| panic!("depth {depth}: {e}"));
     }
 }
@@ -87,7 +101,8 @@ fn optimization_passes_preserve_signed_behavior() {
     passes::optimize(&mut netlist);
     assert!(netlist.cell_count() <= before);
     let signed = SignMagnitude::new(model);
-    check_exhaustive_signed(&netlist, 8, |a, b| signed.multiply_signed(a, b)).unwrap();
+    let reference = |a, b| signed.multiply_signed(a, b);
+    check_signed(&netlist, 8, Sweep::Exhaustive, reference, Engine::Scalar).unwrap();
 }
 
 #[test]
@@ -96,13 +111,20 @@ fn mismatches_report_signed_counterexamples() {
     // exactly where the product is negative: the first counterexample in
     // pattern order is a = 1 (pattern 1) × b = −8 (pattern 8 = 0b1000).
     let netlist = signed_accurate_multiplier(4, ReductionScheme::RippleRows).unwrap();
-    let err = check_exhaustive_signed(&netlist, 4, |a, b| {
+    let wrong_if_negative = |a: i128, b: i128| {
         if a * b < 0 {
             I256::ZERO // deliberately wrong
         } else {
             I256::from_i128(a * b)
         }
-    })
+    };
+    let err = check_signed(
+        &netlist,
+        4,
+        Sweep::Exhaustive,
+        wrong_if_negative,
+        Engine::Scalar,
+    )
     .unwrap_err();
     assert_eq!((err.a, err.b), (1, -8));
     assert_eq!(err.netlist_product.to_i128(), Some(-8));

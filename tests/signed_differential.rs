@@ -13,17 +13,20 @@
 //!    signed error drivers (same floats, same counters, same worst-case
 //!    operands) on exhaustive 8-bit sweeps over every `ClusterVariant`;
 //! 3. seeded SplitMix64 sweeps at widths {4, 6, 8, 12, 16} × depths
-//!    {2, 3, 4} × all four cluster variants, plus the baselines.
+//!    {2, 3, 4} × all four cluster variants, plus the baselines;
+//! 4. the signed exhaustive row blocks that `verify --signed` checks
+//!    netlists against, equal to the scalar model on every pattern pair
+//!    at widths 2–8.
 
 use sdlc::core::baselines::{EtmMultiplier, KulkarniMultiplier, TruncatedMultiplier};
-use sdlc::core::batch::{SignedBatchMultiplier, LANES};
+use sdlc::core::batch::{exhaustive_block_signed, SignedBatchMultiplier, LANES};
 use sdlc::core::error::{evaluate_signed, Coverage, Engine};
 use sdlc::core::signed::signed_operand_range;
 use sdlc::core::{
     AccurateMultiplier, Batchable, ClusterVariant, Multiplier, SdlcMultiplier, SignMagnitude,
     SignedMultiplier,
 };
-use sdlc::wideint::SplitMix64;
+use sdlc::wideint::{SplitMix64, I256};
 
 const WIDTHS: [u32; 5] = [4, 6, 8, 12, 16];
 const DEPTHS: [u32; 3] = [2, 3, 4];
@@ -136,6 +139,51 @@ fn accurate_and_baselines() {
             &KulkarniMultiplier::new(width).unwrap(),
             0x1_0000 + u64::from(width),
         );
+    }
+}
+
+/// `exhaustive_block_signed` over `inner`'s signed twin equals
+/// `SignMagnitude::multiply_signed` on every pattern pair.
+fn assert_row_blocks_exact<M>(inner: &M)
+where
+    M: Multiplier + Batchable + Clone,
+{
+    let width = inner.width();
+    let signed = SignMagnitude::new(inner.clone());
+    let batch = signed.batch_model();
+    let count = 1u64 << width;
+    let value = |pattern: u64| i128::from(((pattern << (64 - width)) as i64) >> (64 - width));
+    let mut out = [0u64; LANES];
+    for a in 0..count {
+        for b0 in (0..count).step_by(LANES) {
+            exhaustive_block_signed(&batch, a, b0, &mut out);
+            for (b, &lane) in (b0..count).zip(&out) {
+                let (a, b) = (value(a), value(b));
+                assert_eq!(
+                    I256::from_i128(i128::from(lane as i64)),
+                    signed.multiply_signed(a, b),
+                    "{} ({a}, {b})",
+                    signed.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn exhaustive_row_blocks_match_the_scalar_model() {
+    for width in [2u32, 4, 6, 8] {
+        assert_row_blocks_exact(&AccurateMultiplier::new(width).unwrap());
+        assert_row_blocks_exact(&SdlcMultiplier::new(width, 2).unwrap());
+        assert_row_blocks_exact(&TruncatedMultiplier::new(width, width / 2).unwrap());
+        assert_row_blocks_exact(&EtmMultiplier::new(width).unwrap());
+    }
+    for width in [4u32, 6, 8] {
+        assert_row_blocks_exact(&SdlcMultiplier::new(width, 4).unwrap());
+    }
+    for width in [2u32, 4, 8] {
+        // Kulkarni needs power-of-two widths.
+        assert_row_blocks_exact(&KulkarniMultiplier::new(width).unwrap());
     }
 }
 
